@@ -38,8 +38,11 @@ from .systems import (
     Skew,
     SystemSpec,
     _check_observable,
+    describe,
+    fourier_const,
     frac_multiples,
     integrate,
+    l2_distance,
     l2_norm,
 )
 from .seminorms import hk_seminorm_estimate
@@ -384,29 +387,16 @@ def multi_average(
         _check_observable(sys, f)
     w = weight_values(weight, N, table)
     J = _gather_iterates(iterates, N, table)
+    bench = _product_benchmark(sys, functions, weight)
     if isinstance(sys, Cyclic):
         avg = _avg_cyclic(sys, J, functions, w)
-        bench = _product_benchmark(sys, functions, weight)
-        dist = math.sqrt(
-            sum(abs(v - bench) ** 2 for v in avg.values) / sys.m
-        )
+        const = CyclicFunction.make(sys.m, [bench] * sys.m)
     else:
         _combo_budget(functions, budget)
-        if isinstance(sys, Rotation):
-            avg = _avg_rotation(sys, J, functions, w)
-        else:
-            avg = _avg_skew(sys, J, functions, w)
-        bench = _product_benchmark(sys, functions, weight)
-        dist = _dist_to_const(avg, bench)
-    return MultiAverage(avg, dist, bench)
-
-
-def _dist_to_const(poly: FourierPoly, c: complex) -> float:
-    total = abs(c - poly.amplitude((0,) * poly.dim)) ** 2
-    for freq, a in poly.terms:
-        if any(freq):
-            total += abs(a) ** 2
-    return math.sqrt(total)
+        avg = _avg_torus(sys, J, functions, w)
+        const = fourier_const(sys.dim, bench)
+    # The constant goes first, so its zero frequency leads the Parseval sum.
+    return MultiAverage(avg, l2_distance(const, avg), bench)
 
 
 def _avg_cyclic(sys: Cyclic, J, functions, w) -> CyclicFunction:
@@ -423,64 +413,46 @@ def _avg_cyclic(sys: Cyclic, J, functions, w) -> CyclicFunction:
     return CyclicFunction.make(m, out)
 
 
-def _phase_base(alpha: float, js: np.ndarray) -> np.ndarray:
-    """Fractional parts of js * alpha, exact per entry.
-
-    Integer multiples of the base stay accurate: frequencies k scale the
-    rounded value by at most |k| ulps, far below phase tolerances.
-    """
-    return frac_multiples(alpha, js.tolist())
-
-
-def _avg_rotation(sys: Rotation, J, functions, w) -> FourierPoly:
+def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
+    """A rotation frequency (k,) is read as (k, 0).  T^j moves frequency
+    (k1, k2) to (k1 + j k2, k2), so a term combination whose k2 are all 0
+    lands on one frequency for every n and is summed once; any other is
+    bucketed by its per-n frequency."""
     N = len(w)
-    bases = [_phase_base(sys.alpha, j) for j in J]
-    acc: dict[tuple[int, ...], complex] = {}
-    for combo in itertools.product(*[f.terms for f in functions]):
-        freq = sum(k for (k,), _ in combo)
-        amp = 1 + 0j
-        phase = np.zeros(N)
-        for ((k,), a), base in zip(combo, bases):
-            amp *= a
-            if k:
-                phase += (k * base) % 1.0
-        val = amp * complex(np.sum(w * np.exp(2j * np.pi * phase))) / N
-        key = (freq,)
-        acc[key] = acc.get(key, 0j) + val
-    return FourierPoly.make(1, acc)
-
-
-def _avg_skew(sys: Skew, J, functions, w) -> FourierPoly:
-    N = len(w)
-    lin = [_phase_base(sys.alpha, j) for j in J]
-    # Triangular numbers overflow int64 for large iterates; Python ints
-    # feed the exact reduction directly.
+    terms = [[((*fq, 0)[:2], a) for fq, a in f.terms] for f in functions]
+    lin = [frac_multiples(sys.alpha, j.tolist()) for j in J]
+    # Phases k * frac(j alpha) are off by at most |k| ulps.  Triangular
+    # numbers overflow int64 for large iterates, so Python ints feed the
+    # exact reduction; only k2 != 0 terms need them.
     tri = [
-        frac_multiples(sys.alpha, [x * (x - 1) // 2 for x in j.tolist()]) for j in J
+        frac_multiples(sys.alpha, [x * (x - 1) // 2 for x in j.tolist()])
+        if any(k2 for (_, k2), _ in ts) else None
+        for j, ts in zip(J, terms)
     ]
-    jarr = [j.astype(np.int64) for j in J]
-    acc: dict[tuple[int, int], np.ndarray] = {}
-    for combo in itertools.product(*[f.terms for f in functions]):
+    acc: dict[tuple[int, int], complex] = {}
+    for combo in itertools.product(*terms):
         amp = 1 + 0j
-        f1 = np.zeros(N, dtype=np.int64)
-        f2 = 0
         phase = np.zeros(N)
-        for ((k1, k2), a), bl, bt, j in zip(combo, lin, tri, jarr):
+        for ((k1, k2), a), bl, bt in zip(combo, lin, tri):
             amp *= a
-            f1 += k1 + j * k2
-            f2 += k2
             if k1:
                 phase += (k1 * bl) % 1.0
             if k2:
                 phase += (k2 * bt) % 1.0
+        f1 = sum(k1 for (k1, _), _ in combo)
+        f2 = sum(k2 for (_, k2), _ in combo)
+        moving = [k2 * j for ((_, k2), _), j in zip(combo, J) if k2]
+        if not moving:
+            val = amp * complex(np.sum(w * np.exp(2j * np.pi * phase))) / N
+            acc[(f1, 0)] = acc.get((f1, 0), 0j) + val
+            continue
         contrib = amp * w * np.exp(2j * np.pi * phase) / N
-        uniq, inv = np.unique(f1, return_inverse=True)
+        uniq, inv = np.unique(f1 + sum(moving), return_inverse=True)
         sums = np.zeros(len(uniq), dtype=complex)
         np.add.at(sums, inv, contrib)
         for u, s in zip(uniq.tolist(), sums.tolist()):
-            key = (u, f2)
-            acc[key] = acc.get(key, 0j) + s
-    return FourierPoly.make(2, acc)
+            acc[(u, f2)] = acc.get((u, f2), 0j) + s
+    return FourierPoly.make(sys.dim, [(key[: sys.dim], a) for key, a in acc.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +541,7 @@ def _recur_rotation(sys: Rotation, g: FourierPoly, J) -> float:
     # combinations whose frequencies cancel, with T^{-j} contributing
     # e(-k j alpha) on the frequency-k component.
     coeffs = {k: a for (k,), a in g.terms}
-    bases = [_phase_base(sys.alpha, j) for j in J]
+    bases = [frac_multiples(sys.alpha, j.tolist()) for j in J]
     N = len(J[0])
     if len(J) == 1:
         total = 0j
@@ -648,7 +620,7 @@ def delta_average_experiment(
         series.append((int(N), float(np.mean(dists))))
     meta = {
         "kind": "delta_average",
-        "system": _describe_system(sys),
+        "system": describe(sys),
         "iterates": [s.describe() for s in iterates],
         "shift_coordinates": k,
     }
@@ -694,7 +666,7 @@ def cfprime_experiment(
         series.append((int(N), l2_norm(r.average)))
     meta = {
         "kind": "prime_weighted_norms",
-        "system": _describe_system(sys),
+        "system": describe(sys),
         "family": family_to_json(family),
         "seminorm_degree": s,
         "seminorm_schedule": list(cert.N_schedule),
@@ -702,14 +674,6 @@ def cfprime_experiment(
         "designated": designated,
     }
     return ExperimentResult(tuple(series), meta, time.monotonic() - t0)
-
-
-def _describe_system(sys: SystemSpec) -> str:
-    if isinstance(sys, Cyclic):
-        return f"cyclic:{sys.m}"
-    if isinstance(sys, Rotation):
-        return f"rotation:{sys.alpha!r}"
-    return f"skew:{sys.alpha!r}"
 
 
 # ---------------------------------------------------------------------------

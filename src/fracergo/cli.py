@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
 from typing import Optional
 
 from . import averages, fracpoly, primes, seminorms, systems
+from .fracpoly import json_field, json_list
 
 SCHEMA_VERSION = 1
 
@@ -50,19 +52,6 @@ def _float_list(text: str) -> list[float]:
     if not out:
         raise ValueError("empty list")
     return out
-
-
-def _parse_system(text: str):
-    name, _, param = text.partition(":")
-    if name == "cyclic":
-        if not param:
-            raise ValueError("cyclic needs a modulus, e.g. cyclic:5")
-        return systems.Cyclic(int(param))
-    if name == "rotation":
-        return systems.Rotation(float(param)) if param else systems.Rotation()
-    if name == "skew":
-        return systems.Skew(float(param)) if param else systems.Skew()
-    raise ValueError(f"unknown system {text!r}")
 
 
 def _parse_weight(text: str):
@@ -96,35 +85,55 @@ def _iterate_specs(args) -> list[averages.IterateSpec]:
 
 
 def _default_function(sys_spec):
+    """The indicator of 0 on Z/m, e(last coordinate) on a torus."""
     if isinstance(sys_spec, systems.Cyclic):
         return systems.indicator(sys_spec.m, [0])
-    if isinstance(sys_spec, systems.Rotation):
-        return systems.fourier_e(1, (1,))
-    return systems.fourier_e(2, (0, 1))
+    return systems.fourier_e(sys_spec.dim, (0,) * (sys_spec.dim - 1) + (1,))
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _integers(value) -> list[int]:
+    return [operator.index(x) for x in json_list(value)]
+
+
+def _complex_pairs(value) -> list[complex]:
+    return [complex(_real(re), _real(im)) for re, im in json_list(value)]
+
+
+def _amplitude(desc, default_re: Optional[float] = None) -> complex:
+    return complex(json_field(desc, "re", _real, default_re), json_field(desc, "im", _real, 0.0))
 
 
 def _build_function(desc: dict, sys_spec):
-    kind = desc.get("kind", "fourier")
+    """One observable from its JSON descriptor; a malformed field is a
+    ValueError that names it."""
+    kind = json_field(desc, "kind", str, "fourier")
     if isinstance(sys_spec, systems.Cyclic):
         m = sys_spec.m
         if kind == "indicator":
-            return systems.indicator(m, desc["points"])
+            return systems.indicator(m, json_field(desc, "points", _integers))
         if kind == "cyclic":
-            return systems.CyclicFunction.make(m, [complex(re, im) for re, im in desc["values"]])
+            return systems.CyclicFunction.make(m, json_field(desc, "values", _complex_pairs))
         if kind == "constant":
-            c = complex(desc.get("re", 1.0), desc.get("im", 0.0))
-            return systems.CyclicFunction.make(m, [c] * m)
+            return systems.CyclicFunction.make(m, [_amplitude(desc, 1.0)] * m)
         raise ValueError(f"function kind {kind!r} does not fit a cyclic system")
-    dim = 1 if isinstance(sys_spec, systems.Rotation) else 2
+    dim = sys_spec.dim
     if kind == "fourier":
-        entries = [(tuple(t["freq"]), complex(t["re"], t.get("im", 0.0))) for t in desc["terms"]]
+        terms = json_field(desc, "terms", json_list)
+        entries = [(tuple(json_field(t, "freq", _integers)), _amplitude(t)) for t in terms]
         return systems.FourierPoly.make(dim, entries)
     if kind == "arc":
         if dim != 1:
             raise ValueError("arc functions live on the rotation")
-        return systems.fejer_arc(desc["beta"], desc.get("n_terms", 40))
+        beta = json_field(desc, "beta", _real)
+        return systems.fejer_arc(beta, json_field(desc, "n_terms", operator.index, 40))
     if kind == "constant":
-        return systems.fourier_const(dim, complex(desc.get("re", 1.0), desc.get("im", 0.0)))
+        return systems.fourier_const(dim, _amplitude(desc, 1.0))
     raise ValueError(f"function kind {kind!r} does not fit this system")
 
 
@@ -134,7 +143,7 @@ def _load_functions(args, sys_spec, count: int) -> list:
         return [_default_function(sys_spec)] * count
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    funcs = [_build_function(d, sys_spec) for d in data["functions"]]
+    funcs = [_build_function(d, sys_spec) for d in json_field(data, "functions", json_list)]
     if len(funcs) == 1 and count > 1:
         funcs = funcs * count
     if len(funcs) != count:
@@ -268,7 +277,7 @@ def cmd_equidist(args) -> int:
 
 def cmd_jointavg(args) -> int:
     t0 = time.monotonic()
-    sys_spec = _parse_system(args.system)
+    sys_spec = systems.parse_system(args.system)
     specs = _iterate_specs(args)
     funcs = _load_functions(args, sys_spec, len(specs))
     weight = _parse_weight(args.weight)
@@ -319,7 +328,7 @@ def _table_for_averages(args, specs, weight, N_list) -> Optional[primes.PrimeTab
 
 def cmd_recurrence(args) -> int:
     t0 = time.monotonic()
-    sys_spec = _parse_system(args.system)
+    sys_spec = systems.parse_system(args.system)
     specs = _iterate_specs(args)
     g = _parse_set(args.g, sys_spec)
     N_list = _increasing(args.N)
@@ -355,7 +364,7 @@ def _parse_set(text: Optional[str], sys_spec):
 
 def cmd_seminorm(args) -> int:
     t0 = time.monotonic()
-    sys_spec = _parse_system(args.system)
+    sys_spec = systems.parse_system(args.system)
     f = _load_functions(args, sys_spec, 1)[0]
     degrees = _increasing(args.s)
     rows = []

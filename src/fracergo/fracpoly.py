@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -50,6 +51,8 @@ __all__ = [
     "pet_reduce",
     "family_to_json",
     "family_from_json",
+    "json_field",
+    "json_list",
     "trace_to_json",
 ]
 
@@ -601,16 +604,43 @@ def family_to_json(fam: Family) -> dict:
     return {"k": fam.k, "functions": [_poly_to_json(f) for f in fam]}
 
 
+def json_field(obj, key: str, convert, default=None):
+    """``convert(obj[key])``, or ``default`` when the key is absent (no
+    default: the field is required).  A missing required field, or a
+    value ``convert`` rejects, is a ValueError naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with field {key!r}, got {obj!r}")
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"missing field {key!r}")
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
+def _powers(value) -> tuple[int, ...]:
+    return tuple(operator.index(p) for p in json_list(value))
+
+
 def family_from_json(data: dict) -> Family:
-    k = int(data["k"])
+    k = json_field(data, "k", operator.index)
     functions = []
-    for fn in data["functions"]:
+    for fn in json_field(data, "functions", json_list):
         entries: dict[Fraction, ParamPolynomial] = {}
-        for term in fn["terms"]:
-            exp = Fraction(term["exponent"])
-            coeff = ParamPolynomial.make(
-                k, {tuple(m["powers"]): Fraction(m["c"]) for m in term["coeff"]}
-            )
+        for term in json_field(fn, "terms", json_list):
+            exp = json_field(term, "exponent", Fraction)
+            coeff = ParamPolynomial.make(k, {
+                json_field(m, "powers", _powers): json_field(m, "c", Fraction)
+                for m in json_field(term, "coeff", json_list)
+            })
             entries[exp] = entries[exp] + coeff if exp in entries else coeff
         functions.append(RealExpPoly.make(k, entries))
     return Family(tuple(functions))

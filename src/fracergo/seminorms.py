@@ -16,7 +16,7 @@ average it says it is, schedule attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ class SeminormEstimate:
     s: int
     value: float
     N_schedule: tuple[int, ...]
-    term_budget_hit: bool = False
 
     def __post_init__(self):
         if self.value < 0:
@@ -106,7 +105,7 @@ def hk_seminorm_estimate(
         raise ValueError("truncation lengths must be positive")
     raw = _hk_pow(sys, f, s, schedule, budget)
     value = max(raw, 0.0) ** (1.0 / 2**s)
-    return SeminormEstimate(s, value, schedule, False)
+    return SeminormEstimate(s, value, schedule)
 
 
 def _hk_pow(sys: SystemSpec, f, s: int, schedule: tuple[int, ...], budget: int) -> float:

@@ -4,10 +4,10 @@ Three system families, each with an exact n-th iterate and exact
 integration:
 
 * ``Cyclic(m)``     -- rotation by one on Z/m, observables are value tables;
-* ``Rotation(alpha)`` -- x -> x + alpha on the circle, observables are
-  trigonometric polynomials;
 * ``Skew(alpha)``   -- (x, y) -> (x + alpha, y + x) on the 2-torus, with
-  T^n(x, y) = (x + n*alpha, y + n*x + n(n-1)/2 * alpha).
+  T^n(x, y) = (x + n*alpha, y + n*x + n(n-1)/2 * alpha);
+* ``Rotation(alpha)`` -- x -> x + alpha on the circle, the skew product's
+  k2 = 0 slice: its frequency (k,) is read as (k, 0).
 
 Character phases like e(k n alpha) are reduced mod 1 in exact integer
 arithmetic on the binary representation of alpha before any float
@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +33,8 @@ __all__ = [
     "Rotation",
     "Skew",
     "SystemSpec",
+    "describe",
+    "parse_system",
     "FourierPoly",
     "CyclicFunction",
     "fourier_e",
@@ -73,14 +75,37 @@ class Cyclic:
 @dataclass(frozen=True)
 class Rotation:
     alpha: float = ALPHA_DEFAULT
+    dim: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
 class Skew:
     alpha: float = ALPHA_DEFAULT
+    dim: ClassVar[int] = 2
 
 
 SystemSpec = Union[Cyclic, Rotation, Skew]
+
+_TORI = {"rotation": Rotation, "skew": Skew}
+
+
+def describe(sys: SystemSpec) -> str:
+    """The ``--system`` text of a system; ``parse_system`` reads it back."""
+    if isinstance(sys, Cyclic):
+        return f"cyclic:{sys.m}"
+    return f"{type(sys).__name__.lower()}:{sys.alpha!r}"
+
+
+def parse_system(text: str) -> SystemSpec:
+    """``cyclic:m``, ``rotation[:alpha]`` or ``skew[:alpha]``."""
+    name, _, param = text.partition(":")
+    if name == "cyclic":
+        if not param:
+            raise ValueError("cyclic needs a modulus, e.g. cyclic:5")
+        return Cyclic(int(param))
+    if name in _TORI:
+        return _TORI[name](float(param)) if param else _TORI[name]()
+    raise ValueError(f"unknown system {text!r}")
 
 
 def frac_mult(alpha: float, n: int) -> float:
@@ -223,12 +248,9 @@ def _check_observable(sys: SystemSpec, f) -> None:
     if isinstance(sys, Cyclic):
         if not isinstance(f, CyclicFunction) or f.m != sys.m:
             raise ValueError("cyclic systems take CyclicFunction observables of matching modulus")
-    elif isinstance(sys, Rotation):
-        if not isinstance(f, FourierPoly) or f.dim != 1:
-            raise ValueError("rotation observables are 1-dimensional Fourier polynomials")
-    elif isinstance(sys, Skew):
-        if not isinstance(f, FourierPoly) or f.dim != 2:
-            raise ValueError("skew observables are 2-dimensional Fourier polynomials")
+    elif isinstance(sys, (Rotation, Skew)):
+        if not isinstance(f, FourierPoly) or f.dim != sys.dim:
+            raise ValueError(f"{describe(sys)} takes {sys.dim}-dimensional Fourier polynomial observables")
     else:
         raise TypeError(f"unknown system {sys!r}")
 
@@ -241,18 +263,16 @@ def apply_power(sys: SystemSpec, f, n: int):
         j = n % sys.m
         vals = f.values[j:] + f.values[:j]
         return CyclicFunction(sys.m, vals)
-    if isinstance(sys, Rotation):
-        return FourierPoly.make(
-            1, [(fq, a * e(frac_mult(sys.alpha, fq[0] * n))) for fq, a in f.terms]
-        )
-    # Skew: e(k1 x + k2 y) pulls back to frequency (k1 + n k2, k2) with
-    # phase k1 n alpha + k2 n(n-1)/2 alpha.
+    # Torus: e(k1 x + k2 y) pulls back to frequency (k1 + n k2, k2) with
+    # phase k1 n alpha + k2 n(n-1)/2 alpha; a rotation frequency (k,) is
+    # the k2 = 0 slice (k, 0).
     tri = n * (n - 1) // 2
     out = []
-    for (k1, k2), a in f.terms:
-        phase = frac_mult(sys.alpha, k1 * n) + frac_mult(sys.alpha, k2 * tri)
-        out.append(((k1 + n * k2, k2), a * e(phase)))
-    return FourierPoly.make(2, out)
+    for fq, a in f.terms:
+        k1, k2 = (*fq, 0)[:2]
+        phase = frac_mult(sys.alpha, k1 * n) + (frac_mult(sys.alpha, k2 * tri) if k2 else 0.0)
+        out.append(((k1 + n * k2, k2)[: sys.dim], a * e(phase)))
+    return FourierPoly.make(sys.dim, out)
 
 
 def integrate(sys: SystemSpec, f) -> complex:

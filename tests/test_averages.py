@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracergo.averages import (
     Bounded,
@@ -29,6 +31,7 @@ from fracergo.primes import delta_von_mangoldt, von_mangoldt_prime
 from fracergo.systems import (
     Cyclic,
     CyclicFunction,
+    FourierPoly,
     Rotation,
     Skew,
     apply_power,
@@ -37,6 +40,7 @@ from fracergo.systems import (
     fourier_e,
     indicator,
     integrate,
+    l2_distance,
     l2_norm,
     multiply,
 )
@@ -266,6 +270,47 @@ def test_multi_average_skew_matches_operator_loop():
     assert set(got) == set(want)
     for fq, a in want.items():
         assert got[fq] == pytest.approx(a, abs=1e-10)
+
+
+_AMPS = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def torus_average_case(draw):
+    """A rotation or skew system with one or two iterates and small random
+    observables.  On the skew product every observable has a k2 = 0 and a
+    k2 != 0 term, so term combinations land on both accumulation paths."""
+    sys = draw(st.sampled_from([Rotation(), Skew(), Skew(0.3)]))
+    count = draw(st.integers(1, 2))
+    iterates = draw(st.lists(st.sampled_from([SQRT, THREEHALF, MIXED]), min_size=count, max_size=count))
+    k = st.integers(-3, 3)
+    funcs = []
+    for _ in range(count):
+        terms = draw(st.lists(st.tuples(k, st.integers(-2, 2), _AMPS), min_size=1, max_size=3))
+        if sys.dim == 2:
+            terms += [(draw(k), 0, draw(_AMPS)), (draw(k), draw(st.sampled_from([-1, 1])), draw(_AMPS))]
+        else:
+            terms = [(k1, 0, a) for k1, _, a in terms]
+        funcs.append(FourierPoly.make(sys.dim, [((k1, k2)[: sys.dim], a) for k1, k2, a in terms]))
+    return sys, [spec(e) for e in iterates], funcs, draw(st.integers(1, 40))
+
+
+@given(torus_average_case())
+@settings(max_examples=60, deadline=None)
+def test_multi_average_torus_matches_operator_loop(case):
+    sys, iterates, funcs, N = case
+    out = multi_average(sys, iterates, funcs, Unweighted(), N)
+    acc = fourier_const(sys.dim, 0)
+    for n in range(1, N + 1):
+        term = fourier_const(sys.dim, 1)
+        for it, f in zip(iterates, funcs):
+            term = multiply(term, apply_power(sys, f, iterate_value(it, n)))
+        acc = acc + term
+    acc = acc.scale(1.0 / N)
+    assert l2_distance(out.average, acc) < 1e-10
+    bench = math.prod(integrate(sys, f) for f in funcs)
+    assert out.benchmark == pytest.approx(bench, abs=1e-12)
+    assert out.distance == pytest.approx(l2_distance(acc, fourier_const(sys.dim, bench)), abs=1e-10)
 
 
 def test_multi_average_cube_weight_benchmark_is_zero(table):

@@ -2,9 +2,12 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracergo.cli import main
-from fracergo.fracpoly import Family, family_to_json, rexp_poly
+from fracergo import systems
+from fracergo.cli import _build_function, main
+from fracergo.fracpoly import Family, family_from_json, family_to_json, rexp_poly
 from fracergo.primes import count_prime_tuples, sieve
 
 
@@ -340,9 +343,97 @@ def test_error_paths_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
 
 
+def _null_exponent(tmp_path):
+    path = tmp_path / "fam.json"
+    data = family_to_json(Family((rexp_poly(0, {F(3, 2): 1}),)))
+    data["functions"][0]["terms"][0]["exponent"] = None
+    path.write_text(json.dumps(data))
+    return ["pet", "--family", str(path)]
+
+
+def _bad_observable(term_or_function, system="rotation"):
+    def argv(tmp_path):
+        fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+        desc = term_or_function
+        if "kind" not in desc:
+            desc = {"kind": "fourier", "terms": [term_or_function]}
+        fn = write_functions(tmp_path / "fn.json", [desc])
+        return ["jointavg", "--system", system, "--family", fam, "--functions", fn, "--N", "10"]
+    return argv
+
+
+@pytest.mark.parametrize("make_argv, field", [
+    (_null_exponent, "exponent"),
+    (_bad_observable({"freq": [1], "re": "a"}), "re"),
+    (_bad_observable({"freq": [1], "im": 0.5}), "re"),
+    (_bad_observable({"freq": [0, None], "re": 1.0}, "skew"), "freq"),
+    (_bad_observable({"kind": "arc", "beta": "0.3"}), "beta"),
+    (_bad_observable({"kind": "cyclic", "values": [[1, 0], "x"]}, "cyclic:2"), "values"),
+], ids=["pet-null-exponent", "fourier-string-re", "fourier-missing-re", "fourier-null-freq",
+        "arc-string-beta", "cyclic-bad-values"])
+def test_bad_json_fields_exit_one_naming_the_field(tmp_path, capsys, make_argv, field):
+    assert main(make_argv(tmp_path) + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert repr(field) in err
+
+
 def test_parameterized_family_rejected(tmp_path):
     fam = Family((rexp_poly(1, {F(3, 2): {(1,): 1}}),))
     p = tmp_path / "fam.json"
     p.write_text(json.dumps(family_to_json(fam)))
     rc = main(["equidist", "--family", str(p), "--N", "10", "--out", str(tmp_path)])
     assert rc == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+_GOOD_INPUTS = [
+    ("family", ["k"], None),
+    ("family", ["functions", 0, "terms", 0, "exponent"], None),
+    ("family", ["functions", 0, "terms", 0, "coeff", 0, "c"], None),
+    ("family", ["functions", 0, "terms", 0, "coeff", 0, "powers"], None),
+    ("function", ["terms", 0, "freq"], "skew"),
+    ("function", ["terms", 0, "re"], "skew"),
+    ("function", ["terms", 0, "im"], "skew"),
+    ("function", ["terms"], "skew"),
+    ("arc", ["beta"], "rotation"),
+    ("arc", ["n_terms"], "rotation"),
+    ("cyclic", ["values"], "cyclic:2"),
+    ("cyclic", ["values", 1], "cyclic:2"),
+    ("indicator", ["points"], "cyclic:2"),
+]
+
+
+def _good_input(kind):
+    return {
+        "family": family_to_json(Family((rexp_poly(0, {F(3, 2): 1}),))),
+        "function": {"kind": "fourier", "terms": [{"freq": [1, 1], "re": 1.0, "im": 0.5}]},
+        "arc": {"kind": "arc", "beta": 0.3, "n_terms": 3},
+        "cyclic": {"kind": "cyclic", "values": [[1, 0], [0, 1]]},
+        "indicator": {"kind": "indicator", "points": [1]},
+    }[kind]
+
+
+@given(st.sampled_from(_GOOD_INPUTS), _JSON)
+@settings(max_examples=300, deadline=None)
+def test_malformed_json_raises_value_error_only(where, value):
+    # Any value in any field either builds or is a ValueError, the error
+    # class the CLI turns into "error: <message>" and exit 1.
+    kind, path, system = where
+    data = _good_input(kind)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        if kind == "family":
+            family_from_json(data)
+        else:
+            _build_function(data, systems.parse_system(system))
+    except ValueError:
+        pass

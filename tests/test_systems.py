@@ -16,6 +16,7 @@ from fracergo.systems import (
     Skew,
     TermBudgetError,
     apply_power,
+    describe,
     e,
     fejer_arc,
     fourier_const,
@@ -27,6 +28,7 @@ from fracergo.systems import (
     l2_distance,
     l2_norm,
     multiply,
+    parse_system,
 )
 
 
@@ -234,3 +236,19 @@ def test_l2_distance_consistency():
 def test_cyclic_modulus_validation():
     with pytest.raises(ValueError):
         Cyclic(1)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.integers(2, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_parse_system_reads_describe_back(alpha, m):
+    for sys in (Cyclic(m), Rotation(alpha), Skew(alpha), Rotation(), Skew()):
+        assert parse_system(describe(sys)) == sys
+
+
+def test_parse_system_text():
+    assert parse_system("rotation") == Rotation(ALPHA_DEFAULT)
+    assert parse_system("skew:0.25") == Skew(0.25)
+    assert describe(Cyclic(5)) == "cyclic:5"
+    for bad in ("cyclic", "cyclic:x", "galois:7", "rotation:abc"):
+        with pytest.raises(ValueError):
+            parse_system(bad)
