@@ -11,8 +11,10 @@ a seminorm certificate for one of its observables.
 Floors of iterate values are taken exactly.  The fast path is a float
 evaluation; any value landing inside a guard band around an integer is
 re-done with integer root extraction where the term is rational, and
-80-digit arithmetic otherwise.  The band is 1e-9 plus a relative term,
-wide enough to cover accumulated float error at values around 1e9.
+90-digit arithmetic otherwise.  The band bounds the float error from
+the terms, not from the value, since cancelling terms leave a small
+value with a large error: sum_i |c_i| x^(e_i) (GUARD_ULPS eps +
+ln x |e_i - fl(e_i)|) + 1e-9, with fl(e_i) the double nearest e_i.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Sequence, Union
 import mpmath
 import numpy as np
 
-from .fracpoly import Family, RealExpPoly, family_to_json, is_nice
+from .fracpoly import Family, ParamPolynomial, RealExpPoly, family_to_json, is_nice
 from .primes import PrimeTable, cube, von_mangoldt_array
 from .systems import (
     TERM_BUDGET,
@@ -71,7 +73,11 @@ __all__ = [
 ]
 
 GUARD_ABS = 1e-9
-GUARD_REL = 1e-12
+# Float error of one term c * x**fl(e), in units of eps times its size:
+# c rounded (1/2), the power (1: pow is within an ulp), the product (1/2);
+# the running sum adds at most 1/2 per term.  8 covers iterate functions
+# of up to 12 terms; fl(e) != e is the separate ln x term.
+GUARD_ULPS = 8
 
 
 class InvariantViolation(RuntimeError):
@@ -209,47 +215,40 @@ def _exact_power(x: int, exp: Fraction) -> Optional[Fraction]:
 def _floor_exact(poly: RealExpPoly, x: int) -> int:
     """Floor of poly(x) with no float in the loop.
 
-    Rational-valued terms accumulate in a Fraction; genuinely irrational
-    terms fall through to 90-digit arithmetic.  A total that is secretly
-    an exact integer despite irrational terms would need an algebraic
-    cancellation the corpus does not contain; at 90 digits the floor is
-    safe far beyond the guard band that routed us here.
+    Rational-valued terms accumulate in a Fraction.  The others are
+    grouped by x^e up to a rational factor and each group's coefficient
+    is summed exactly, so a cancellation such as x^(3/2) - 72 x^(13/10)
+    at x = 72^5 is exactly 0.  Radicals of distinct groups are linearly
+    independent over the rationals, so what is left is irrational, and
+    its floor is taken at 90 digits.
     """
     exact = Fraction(0)
-    leftover = []
+    groups: dict[Fraction, Fraction] = {}  # x^g with g the largest exponent of its group
     for exp, coeff in poly.terms:
         c = coeff.evaluate(())
-        if c == 0:
-            continue
-        if exp == 0:
-            exact += c
-            continue
         r = _exact_power(x, exp)
         if r is not None:
             exact += c * r
+            continue
+        for g in groups:
+            ratio = _exact_power(x, g - exp)
+            if ratio is not None:
+                groups[g] += c / ratio
+                break
         else:
-            leftover.append((c, exp))
+            groups[exp] = c
+    leftover = {g: ParamPolynomial.constant(0, c) for g, c in groups.items() if c != 0}
     if not leftover:
         return math.floor(exact)
+    leftover[Fraction(0)] = ParamPolynomial.constant(0, exact)
     with mpmath.workdps(90):
-        total = mpmath.mpf(exact.numerator) / exact.denominator
-        for c, exp in leftover:
-            term = mpmath.power(x, mpmath.mpf(exp.numerator) / exp.denominator)
-            total += mpmath.mpf(c.numerator) / c.denominator * term
-        return int(mpmath.floor(total))
+        return int(mpmath.floor(RealExpPoly.make(0, leftover).eval_mpf((), x, prec=90)))
 
 
 def iterate_value(spec: IterateSpec, n: int, table: Optional[PrimeTable] = None) -> int:
     """The n-th term of the iterate sequence, floored exactly."""
-    if n < 1:
-        raise ValueError("index starts at 1")
-    if spec.mode == "primes":
-        if table is None:
-            raise ValueError("primes mode needs a sieve table")
-        x = table.nth_prime(n)
-    else:
-        x = n
-    return _floor_exact(spec.poly, x)
+    x = _argument_values(spec, np.array([n], dtype=np.int64), table)[0]
+    return _floor_exact(spec.poly, int(x))
 
 
 def _argument_values(spec: IterateSpec, ns: np.ndarray, table: Optional[PrimeTable]) -> np.ndarray:
@@ -264,14 +263,16 @@ def _argument_values(spec: IterateSpec, ns: np.ndarray, table: Optional[PrimeTab
     return ns
 
 
-def _float_values(poly: RealExpPoly, xs: np.ndarray) -> np.ndarray:
-    vals = np.zeros(len(xs))
+def _guard_band(poly: RealExpPoly, xs: np.ndarray) -> np.ndarray:
+    """A bound on |poly.eval((), x) - poly(x)| at every x (see GUARD_ULPS)."""
     xf = xs.astype(np.float64)
+    lnx = np.log(xf)
+    band = np.full(len(xf), GUARD_ABS)
     for exp, coeff in poly.terms:
-        c = float(coeff.evaluate(()))
-        if c != 0.0:
-            vals += c * xf ** float(exp)
-    return vals
+        # x**fl(e) is off from x**e by a factor of about 1 + ln x |e - fl(e)|.
+        rel = GUARD_ULPS * np.finfo(float).eps + lnx * float(abs(exp - Fraction(float(exp))))
+        band += abs(float(coeff.evaluate(()))) * xf ** float(exp) * rel
+    return band
 
 
 def iterate_values(
@@ -281,10 +282,9 @@ def iterate_values(
     of every entry inside the guard band around an integer."""
     ns = np.asarray(ns, dtype=np.int64)
     xs = _argument_values(spec, ns, table)
-    vals = _float_values(spec.poly, xs)
+    vals = spec.poly.eval((), xs)
     out = np.floor(vals).astype(np.int64)
-    band = GUARD_ABS + np.abs(vals) * GUARD_REL
-    risky = np.flatnonzero(np.abs(vals - np.rint(vals)) < band)
+    risky = np.flatnonzero(np.abs(vals - np.rint(vals)) < _guard_band(spec.poly, xs))
     for i in risky:
         out[i] = _floor_exact(spec.poly, int(xs[i]))
     return out
@@ -323,7 +323,7 @@ def weyl_sum(
             js = iterate_values(spec, ns, table)
             phases += frac_multiples(t, js.tolist())
         else:
-            phases += _float_values(spec.poly, _argument_values(spec, ns, table)) * t
+            phases += spec.poly.eval((), _argument_values(spec, ns, table)) * t
     return complex(np.mean(np.exp(2j * np.pi * phases)))
 
 
@@ -505,7 +505,9 @@ def recurrence_profile(
     for N in N_list:
         Jn = [j[:N] for j in J]
         if isinstance(sys, Cyclic):
-            val = _recur_cyclic(sys, g, Jn)
+            # the mean over x of g(x) * avg_n prod_i g(x - j_i(n))
+            avg = _avg_cyclic(sys, [-j for j in Jn], [g] * len(Jn), np.ones(N))
+            val = float(np.mean(g.as_array().real * avg.as_array().real))
         else:
             val = _recur_rotation(sys, g, Jn)
         series.append((N, val))
@@ -520,20 +522,6 @@ def _require_real(sys: SystemSpec, g) -> None:
     for (k,), a in g.terms:
         if abs(np.conj(a) - g.amplitude((-k,))) > 1e-12:
             raise ValueError("recurrence needs a real-valued g")
-
-
-def _recur_cyclic(sys: Cyclic, g: CyclicFunction, J) -> float:
-    m = sys.m
-    arr = g.as_array()
-    N = len(J[0])
-    shifts = [np.mod(j, m) for j in J]
-    total = 0.0
-    for x in range(m):
-        prod = np.ones(N)
-        for j in shifts:
-            prod *= arr[(x - j) % m].real
-        total += arr[x].real * prod.mean()
-    return total / m
 
 
 def _recur_rotation(sys: Rotation, g: FourierPoly, J) -> float:
@@ -651,10 +639,8 @@ def cfprime_experiment(
         raise ValueError("one observable per family member")
     if not is_nice(family):
         raise ValueError("the iterate family must be nice")
-    for i, a in enumerate(family.functions):
-        for b in family.functions[i + 1 :]:
-            if (a - b).is_zero():
-                raise ValueError("family members must be pairwise distinct")
+    if len(set(family.functions)) < len(family.functions):
+        raise ValueError("family members must be pairwise distinct")
     if not 0 <= designated < len(funcs):
         raise ValueError("designated index out of range")
     t0 = time.monotonic()

@@ -258,9 +258,7 @@ def cmd_equidist(args) -> int:
     if len(ts) != len(specs):
         raise ValueError("need one frequency per family member")
     N_list = _increasing(args.N)
-    table = None
-    if args.mode == "primes":
-        table = _load_table(args, _nth_prime_bound(max(N_list)))
+    table = _table_for_averages(args, specs, averages.Unweighted(), N_list)
     rows = []
     ok = True
     for N in N_list:
@@ -283,7 +281,9 @@ def cmd_jointavg(args) -> int:
     weight = _parse_weight(args.weight)
     N_list = _increasing(args.N)
     if args.cert_degree is not None:
-        # the certificate run is always prime-weighted internally
+        if args.mode == "primes" or isinstance(weight, averages.DeltaVonMangoldt):
+            raise ValueError("--cert-degree runs over the integers with the lambda weight; "
+                             "drop --mode primes and --weight delta:...")
         table = _table_for_averages(args, specs, averages.VonMangoldt(), N_list)
         fam = fracpoly.Family(tuple(s.poly for s in specs))
         result = averages.cfprime_experiment(
@@ -332,9 +332,7 @@ def cmd_recurrence(args) -> int:
     specs = _iterate_specs(args)
     g = _parse_set(args.g, sys_spec)
     N_list = _increasing(args.N)
-    table = None
-    if args.mode == "primes":
-        table = _load_table(args, _nth_prime_bound(max(N_list)))
+    table = _table_for_averages(args, specs, averages.Unweighted(), N_list)
     profile = averages.recurrence_profile(sys_spec, g, specs, N_list, table)
     rows = [(N, v) for N, v in profile.series]
     ok = all(-1e-9 <= v <= 1 + 1e-9 for _, v in profile.series)
@@ -346,25 +344,28 @@ def cmd_recurrence(args) -> int:
 
 
 def _parse_set(text: Optional[str], sys_spec):
-    if isinstance(sys_spec, systems.Cyclic):
-        text = text or "indicator:0"
-        if not text.startswith("indicator:"):
-            raise ValueError("cyclic sets are given as indicator:p1,p2,...")
-        return systems.indicator(sys_spec.m, _int_list(text[len("indicator:") :]))
-    if isinstance(sys_spec, systems.Rotation):
-        text = text or "arc:0.3:40"
-        parts = text.split(":")
-        if parts[0] != "arc" or len(parts) not in (2, 3):
-            raise ValueError("rotation sets are given as arc:beta[:n_terms]")
-        beta = float(parts[1])
-        n_terms = int(parts[2]) if len(parts) == 3 else 40
-        return systems.fejer_arc(beta, n_terms)
-    raise ValueError("recurrence profiles run on cyclic or rotation systems")
+    """--g indicator:p1,p2,... or arc:beta[:n_terms], built as the
+    matching --functions descriptor."""
+    if text is None:
+        text = "indicator:0" if isinstance(sys_spec, systems.Cyclic) else "arc:0.3:40"
+    kind, _, rest = text.partition(":")
+    parts = rest.split(":")
+    if kind == "indicator" and len(parts) == 1:
+        desc = {"kind": kind, "points": _int_list(parts[0])}
+    elif kind == "arc" and len(parts) in (1, 2):
+        desc = {"kind": kind, "beta": float(parts[0])}
+        if parts[1:]:
+            desc["n_terms"] = int(parts[1])
+    else:
+        raise ValueError("sets are given as indicator:p1,p2,... or arc:beta[:n_terms]")
+    return _build_function(desc, sys_spec)
 
 
 def cmd_seminorm(args) -> int:
     t0 = time.monotonic()
     sys_spec = systems.parse_system(args.system)
+    if args.oracle and not isinstance(sys_spec, systems.Rotation):
+        raise ValueError("--oracle compares estimates on the rotation only")
     f = _load_functions(args, sys_spec, 1)[0]
     degrees = _increasing(args.s)
     rows = []
@@ -380,7 +381,7 @@ def cmd_seminorm(args) -> int:
                     raise ValueError(f"degree {s} needs {s - 1} truncation lengths")
                 schedule = args.N[: s - 1]
             val = seminorms.hk_seminorm_estimate(sys_spec, f, s, schedule).value
-        if args.oracle and isinstance(sys_spec, systems.Rotation) and s >= 2:
+        if args.oracle and s >= 2:
             oracle = seminorms.fourier_seminorm_rotation(f, s)
             oracle_vals[str(s)] = oracle
             checks.append((f"fourier_oracle_s{s}", abs(val - oracle) <= args.tol))

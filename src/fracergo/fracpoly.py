@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 import mpmath
+import numpy as np
 
 RationalLike = Union[int, str, Fraction]
 
@@ -38,8 +39,6 @@ __all__ = [
     "PetStep",
     "PetTrace",
     "PetError",
-    "const_poly",
-    "param_poly",
     "rexp_poly",
     "equivalent",
     "is_nice",
@@ -62,13 +61,15 @@ class PetError(RuntimeError):
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    """An int, a Fraction or a rational string; a float is refused, as its
+    binary value is rarely the rational that was meant."""
+    if isinstance(x, (int, str, Fraction)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _join_signed(parts: list[str]) -> str:
+    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,7 @@ class ParamPolynomial:
                 parts.append(f"-{vars_part}")
             else:
                 parts.append(f"{c}*{vars_part}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _join_signed(parts)
 
 
 @dataclass(frozen=True)
@@ -200,10 +198,7 @@ class RealExpPoly:
                 raise ValueError(f"negative exponent {exp}")
             if coeff.k != k:
                 raise ValueError("coefficient parameter-count mismatch")
-            if exp in canon:
-                canon[exp] = canon[exp] + coeff
-            else:
-                canon[exp] = coeff
+            canon[exp] = canon[exp] + coeff if exp in canon else coeff
         items = tuple(
             sorted(((e, c) for e, c in canon.items() if not c.is_zero()), reverse=True)
         )
@@ -247,10 +242,7 @@ class RealExpPoly:
             raise ValueError("parameter-count mismatch")
         merged: dict[Fraction, ParamPolynomial] = dict(self.terms)
         for exp, coeff in other.terms:
-            if exp in merged:
-                merged[exp] = merged[exp] + coeff
-            else:
-                merged[exp] = coeff
+            merged[exp] = merged[exp] + coeff if exp in merged else coeff
         return RealExpPoly.make(self.k, merged)
 
     def __neg__(self) -> "RealExpPoly":
@@ -262,19 +254,22 @@ class RealExpPoly:
     def widen(self, extra: int = 1) -> "RealExpPoly":
         return RealExpPoly(self.k + extra, tuple((e, c.widen(extra)) for e, c in self.terms))
 
-    def eval(self, h: Sequence[int], t: float) -> float:
-        """Numeric value at integer parameters h and real t > 0.
+    def eval(self, h: Sequence[int], t):
+        """Numeric value at integer parameters h and real t > 0, or at
+        every entry of an array of such t.
 
         Coefficients are evaluated exactly as rationals; only the final
-        t-power combination is floating point.
+        t-power combination is floating point, 0.0 + sum c * t**e in
+        term order.
         """
-        if t <= 0:
+        t = np.asarray(t, dtype=np.float64) if np.ndim(t) else float(t)
+        if np.any(t <= 0):
             raise ValueError(f"t must be positive, got {t}")
         total = 0.0
         for exp, coeff in self.terms:
             c = coeff.evaluate(h)
             if c != 0:
-                total += float(c) * float(t) ** float(exp)
+                total += float(c) * t ** float(exp)
         return total
 
     def eval_mpf(self, h: Sequence[int], t, prec: int = 80) -> mpmath.mpf:
@@ -308,10 +303,7 @@ class RealExpPoly:
                     parts.append(f"{coeff}*t^({e})")
                 else:
                     parts.append(f"({coeff})*t^({e})")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _join_signed(parts)
 
 
 @dataclass(frozen=True)
@@ -347,14 +339,6 @@ class Family:
 # ---------------------------------------------------------------------------
 # construction helpers, mainly for tests and the CLI
 
-def const_poly(k: int, c: RationalLike) -> ParamPolynomial:
-    return ParamPolynomial.constant(k, c)
-
-
-def param_poly(k: int, entries: Mapping[tuple[int, ...], RationalLike]) -> ParamPolynomial:
-    return ParamPolynomial.make(k, entries)
-
-
 def rexp_poly(k: int, terms: Mapping[RationalLike, object]) -> RealExpPoly:
     """Build a RealExpPoly from {exponent: coefficient} where the
     coefficient may be a rational (meaning a constant), a power-vector
@@ -373,14 +357,18 @@ def rexp_poly(k: int, terms: Mapping[RationalLike, object]) -> RealExpPoly:
 # ---------------------------------------------------------------------------
 # the calculus
 
+def _head(f: RealExpPoly, d) -> tuple:
+    """f's terms of exponent >= d.  Terms are canonical, so f - g has
+    nothing at exponent d or above exactly when these slices agree."""
+    return tuple(term for term in f.terms if term[0] >= d)
+
+
 def equivalent(a: RealExpPoly, b: RealExpPoly) -> bool:
     """True iff deg(a) = deg(b) and deg(a - b) is strictly smaller."""
     if a.k != b.k:
         raise ValueError("parameter-count mismatch")
-    da, db = a.degree(), b.degree()
-    if da != db:
-        return False
-    return (a - b).degree() < da
+    d = a.degree()
+    return d == b.degree() and d >= 0 and _head(a, d) == _head(b, d)
 
 
 def is_nice(fam: Family) -> bool:
@@ -392,7 +380,11 @@ def is_nice(fam: Family) -> bool:
         return False
     if any(f.is_constant_in_t() for f in fam):
         return False
-    return all(not (first - f).is_constant_in_t() for f in fam.functions[1:])
+    # first - f is constant in t exactly when the two share every term of
+    # positive exponent, that is every term at or above the least one.
+    low = min(e for f in fam for e, _ in f.terms if e > 0)
+    head = _head(first, low)
+    return all(_head(f, low) != head for f in fam.functions[1:])
 
 
 def is_fractional_family(fam: Family) -> bool:
@@ -489,12 +481,7 @@ def type_vector(fam: Family) -> TypeVector:
     seen: set[tuple] = set()
     for f in members:
         deg = f.degree()
-        head = []
-        for term in f.terms:
-            if term[0] < deg:
-                break
-            head.append(term)
-        key = (deg, tuple(head))
+        key = (deg, _head(f, deg))
         if key not in seen:
             seen.add(key)
             counts[d - deg] += 1
@@ -636,9 +623,9 @@ def family_from_json(data: dict) -> Family:
     for fn in json_field(data, "functions", json_list):
         entries: dict[Fraction, ParamPolynomial] = {}
         for term in json_field(fn, "terms", json_list):
-            exp = json_field(term, "exponent", Fraction)
+            exp = json_field(term, "exponent", _as_fraction)
             coeff = ParamPolynomial.make(k, {
-                json_field(m, "powers", _powers): json_field(m, "c", Fraction)
+                json_field(m, "powers", _powers): json_field(m, "c", _as_fraction)
                 for m in json_field(term, "coeff", json_list)
             })
             entries[exp] = entries[exp] + coeff if exp in entries else coeff

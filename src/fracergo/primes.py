@@ -229,13 +229,12 @@ def count_prime_tuples(table: PrimeTable, N: int, shifts: Sequence[int]) -> int:
     top = N + max(shifts)
     if top > table.limit:
         raise ValueError(f"table covers up to {table.limit}, need {top}")
-    ns = np.arange(1, N + 1, dtype=np.int64)
     mask = np.ones(N, dtype=bool)
     for h in shifts:
-        m = ns + h
-        valid = m >= 0
-        mask &= valid
-        mask &= table.is_prime[np.where(valid, m, 0)]
+        # n + h runs over [1 + h, N + h]; the n with n + h < 0 count as not prime
+        skip = min(max(-1 - h, 0), N)
+        mask[:skip] = False
+        mask[skip:] &= table.is_prime[1 + h + skip : N + h + 1]
     return int(np.count_nonzero(mask))
 
 
@@ -430,12 +429,13 @@ def check_cor_primes(
     if c < 0:
         raise ValueError("c must be non-negative")
     offsets = cube(shifts)
+    if min(offsets) < 0:
+        raise ValueError("cube offsets must be non-negative")
     top = N + c + max(offsets)
     if top > table.limit:
         raise ValueError(f"table covers up to {table.limit}, need {top}")
     lam = von_mangoldt_array(table, top)
-    ns = np.arange(1, N + 1, dtype=np.int64)
     prod = np.ones(N)
     for s in offsets:
-        prod *= lam[ns + c + s]
+        prod *= lam[1 + c + s : N + 1 + c + s]
     return float(np.mean(prod))

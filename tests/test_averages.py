@@ -104,6 +104,61 @@ def test_scalar_and_vector_floors_agree():
             assert got[i] == iterate_value(s, n)
 
 
+def _floor_120_digits(terms, n):
+    """Floor of sum c * n^e at 120 digits, with no fracergo code involved."""
+    with mpmath.workdps(120):
+        total = mpmath.mpf(0)
+        for e, c in terms.items():
+            total += mpmath.mpf(c.numerator) / c.denominator * mpmath.power(
+                n, mpmath.mpf(e.numerator) / e.denominator)
+        return int(mpmath.floor(total))
+
+
+def test_cancelling_terms_floor_exactly_around_72_to_the_5th():
+    # t^(3/2) - 72 t^(13/10) = t^(13/10) (t^(1/5) - 72): two terms near
+    # 8.5e13 that cancel to a value of at most 2e7 over this range, so the
+    # float error scales with the terms, not with the value.
+    terms = {F(3, 2): F(1), F(13, 10): F(-72)}
+    s = IterateSpec(rexp_poly(0, terms))
+    n0 = 72**5
+    ns = list(range(n0 - 2000, n0 + 2000))
+    want = [_floor_120_digits(terms, n) for n in ns]
+    want[ns.index(n0)] = 0  # the value at t = 72^5 is exactly 0
+    assert iterate_values(s, ns).tolist() == want
+    assert [iterate_value(s, n) for n in ns[1990:2010]] == want[1990:2010]
+
+
+def test_exponent_rounding_counts_in_the_guard_band():
+    # At t = 23^5 the two terms cancel exactly.  Evaluated at the doubles
+    # nearest 18/11 + 2/5 and 18/11 they leave about -11.5 eps times the
+    # term sizes, below 0 by more than the rounding of the arithmetic alone.
+    s = IterateSpec(rexp_poly(0, {F(18, 11) + F(2, 5): 1, F(18, 11): -(23**2)}))
+    assert iterate_values(s, [23**5]).tolist() == [0]
+
+
+_NON_DYADIC = st.sampled_from([3, 5, 6, 7, 9, 10, 11, 12]).flatmap(
+    lambda q: st.integers(q // 4 + 1, 9 * q // 4).map(lambda p: F(p, q)))
+
+
+@given(_NON_DYADIC, st.sampled_from([3, 5, 7]), st.integers(-3, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_vector_floors_match_exact_floors_on_cancelling_terms(e2, q, K, data):
+    # t^(e2 + a/q) - b^a t^(e2) + K is exactly K at t = b^q, with both
+    # terms irrational there; around it the value lands near integers, and
+    # for large b the terms exceed 2^53.
+    a = data.draw(st.integers(1, q - 1))
+    e1 = e2 + F(a, q)
+    b_max = max(2, int(2 ** (62 / float(q * e1))) - 1)
+    b = data.draw(st.integers(2, min(b_max, int(2 ** (53 / q)))))  # b^q exact as a double
+    n0 = b**q
+    spec_ = IterateSpec(rexp_poly(0, {e1: 1, e2: -(b**a), 0: K}))
+    offsets = data.draw(st.lists(st.integers(-40, 40), max_size=12))
+    ns = sorted({n0} | {max(1, n0 + o) for o in offsets})
+    got = iterate_values(spec_, ns).tolist()
+    assert got == [iterate_value(spec_, n) for n in ns]
+    assert got[ns.index(n0)] == K
+
+
 def test_iterate_primes_mode(table):
     s = spec(SQRT, "primes")
     # the fifth prime is 11

@@ -351,6 +351,17 @@ def _null_exponent(tmp_path):
     return ["pet", "--family", str(path)]
 
 
+def _float_in_family(field, value):
+    def argv(tmp_path):
+        path = tmp_path / "fam.json"
+        data = family_to_json(Family((rexp_poly(0, {F(11, 10): 1}),)))
+        term = data["functions"][0]["terms"][0]
+        (term if field == "exponent" else term["coeff"][0])[field] = value
+        path.write_text(json.dumps(data))
+        return ["pet", "--family", str(path)]
+    return argv
+
+
 def _bad_observable(term_or_function, system="rotation"):
     def argv(tmp_path):
         fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
@@ -369,13 +380,50 @@ def _bad_observable(term_or_function, system="rotation"):
     (_bad_observable({"freq": [0, None], "re": 1.0}, "skew"), "freq"),
     (_bad_observable({"kind": "arc", "beta": "0.3"}), "beta"),
     (_bad_observable({"kind": "cyclic", "values": [[1, 0], "x"]}, "cyclic:2"), "values"),
+    (_float_in_family("exponent", 1.1), "exponent"),  # not 11/10 but its nearest double
+    (_float_in_family("c", 0.5), "c"),
 ], ids=["pet-null-exponent", "fourier-string-re", "fourier-missing-re", "fourier-null-freq",
-        "arc-string-beta", "cyclic-bad-values"])
+        "arc-string-beta", "cyclic-bad-values", "pet-float-exponent", "pet-float-coefficient"])
 def test_bad_json_fields_exit_one_naming_the_field(tmp_path, capsys, make_argv, field):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert repr(field) in err
+
+
+@pytest.mark.parametrize("system", ["cyclic:6", "skew"])
+def test_seminorm_oracle_off_the_rotation_exits_one(tmp_path, capsys, system):
+    rc = main(["seminorm", "--system", system, "--s", "2", "--N", "10", "--oracle",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --oracle")
+    assert not (tmp_path / "seminorm.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--mode", "primes"], ["--weight", "delta:2"]])
+def test_jointavg_certificate_refuses_ignored_flags(tmp_path, capsys, flags):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    rc = main(["jointavg", "--system", "skew", "--family", fam, "--cert-degree", "2",
+               "--N", "100", "--out", str(tmp_path), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --cert-degree")
+
+
+@pytest.mark.parametrize("g, system, message", [
+    ("arc:abc", "rotation", "could not convert"),
+    ("indicator:1,x", "cyclic:5", "not a comma-separated integer list"),
+    ("disc:0.3", "rotation", "sets are given as"),
+    # the rest come from the builder of --functions descriptors
+    ("arc:0.3", "cyclic:5", "does not fit a cyclic system"),
+    ("arc:0.3", "skew", "arc functions live on the rotation"),
+])
+def test_recurrence_set_errors_exit_one(tmp_path, capsys, g, system, message):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    rc = main(["recurrence", "--system", system, "--g", g, "--family", fam,
+               "--N", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_parameterized_family_rejected(tmp_path):

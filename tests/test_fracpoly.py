@@ -339,3 +339,42 @@ def test_widen_preserves_evaluation(k, data):
     wide = f.widen()
     assert wide.k == k + 1
     assert wide.eval(h + (9,), t) == pytest.approx(f.eval(h, t), rel=1e-12, abs=1e-12)
+
+
+_POLY_TERMS = st.dictionaries(
+    st.fractions(min_value=0, max_value=3, max_denominator=4),
+    st.integers(min_value=-2, max_value=2),
+    max_size=3,
+)
+
+
+@settings(max_examples=300)
+@given(_POLY_TERMS, _POLY_TERMS, _POLY_TERMS)
+def test_leading_slices_agree_with_differences(shared, tail_a, tail_b):
+    # Members share a random leading part, so equivalent pairs and
+    # constant differences come up often.
+    a = rexp_poly(0, {**tail_a, **shared})
+    b = rexp_poly(0, {**tail_b, **shared})
+    d = a.degree()
+    assert equivalent(a, b) == (d == b.degree() and (a - b).degree() < d)
+    fam = Family((a, b))
+    nice = (
+        a.fractional_degree() >= b.fractional_degree()
+        and not a.is_constant_in_t()
+        and not b.is_constant_in_t()
+        and not (a - b).is_constant_in_t()
+    )
+    assert is_nice(fam) == nice
+
+
+@settings(max_examples=50)
+@given(_POLY_TERMS, st.lists(st.floats(min_value=0.5, max_value=1e7), min_size=1, max_size=5))
+def test_eval_on_an_array_is_the_scalar_eval_per_entry(terms, ts):
+    # numpy's power and Python's ** may differ in the last bit, so the
+    # two agree to a few ulps of the term sizes, not bit for bit.
+    f = rexp_poly(0, terms)
+    got = f.eval((), np.array(ts)) + np.zeros(len(ts))
+    for v, t in zip(got.tolist(), ts):
+        size = sum(abs(float(c)) * t ** float(e) for e, c in terms.items())
+        assert v == pytest.approx(f.eval((), t), rel=0, abs=4 * np.finfo(float).eps * size)
+

@@ -215,6 +215,13 @@ def test_count_prime_tuples_negative_shift(table):
     assert count_prime_tuples(table, 20, (-2, 0)) == 4
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=4, unique=True), st.integers(1, 300))
+def test_count_prime_tuples_any_shifts_vs_trial_division(table, shifts, N):
+    want = sum(1 for n in range(1, N + 1) if all(oracle_is_prime(n + h) for h in shifts))
+    assert count_prime_tuples(table, N, shifts) == want
+
+
 def test_count_prime_tuples_validation(table):
     with pytest.raises(ValueError):
         count_prime_tuples(table, 100, (0, 0))
@@ -361,6 +368,20 @@ def test_check_cor_primes_validation(table):
         check_cor_primes(table, (2, 6), -1, 100)
     with pytest.raises(ValueError):
         check_cor_primes(sieve(100), (2, 6), 0, 1000)
+
+
+@pytest.mark.parametrize("shifts, c, N", [((2,), 0, 10), ((2,), 1, 10), ((2, 4), 3, 30), ((6,), 5, 1)])
+def test_check_cor_primes_small_cases_vs_direct_mean(table, shifts, c, N):
+    want = sum(delta_von_mangoldt(shifts, n + c, table) for n in range(1, N + 1)) / N
+    assert check_cor_primes(table, shifts, c, N) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_check_cor_primes_refuses_negative_offsets():
+    # cube((-5,)) = (0, -5): lam[n - 5] would wrap around for n < 5
+    with pytest.raises(ValueError, match="non-negative"):
+        check_cor_primes(sieve(200), (-5,), 0, 12)
+    with pytest.raises(ValueError, match="non-negative"):
+        check_cor_primes(sieve(200), (3, -1), 0, 12)
 
 
 def test_table_fixture_covers_acceptance_range(table):
