@@ -15,6 +15,9 @@ re-done with integer root extraction where the term is rational, and
 the terms, not from the value, since cancelling terms leave a small
 value with a large error: sum_i |c_i| x^(e_i) (GUARD_ULPS eps +
 ln x |e_i - fl(e_i)|) + 1e-9, with fl(e_i) the double nearest e_i.
+
+Torus averages are contracted by GEMM, CHUNK indices n at a time, not
+summed per term combination: that moves them by about N eps sum|amp|.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ GUARD_ABS = 1e-9
 # the running sum adds at most 1/2 per term.  8 covers iterate functions
 # of up to 12 terms; fl(e) != e is the separate ln x term.
 GUARD_ULPS = 8
+# Indices n per block of the torus contraction: one (CHUNK x terms)
+# character matrix per iterate is alive at a time.
+CHUNK = 1 << 12
 
 
 class InvariantViolation(RuntimeError):
@@ -356,14 +362,6 @@ def _product_benchmark(sys, functions, weight) -> complex:
     return b
 
 
-def _combo_budget(functions, budget: int) -> None:
-    n = 1
-    for f in functions:
-        n *= len(f.terms)
-    if n > budget:
-        raise ValueError(f"product of observables has {n} term combinations, budget {budget}")
-
-
 def multi_average(
     sys: SystemSpec,
     iterates: Sequence[IterateSpec],
@@ -392,7 +390,9 @@ def multi_average(
         avg = _avg_cyclic(sys, J, functions, w)
         const = CyclicFunction.make(sys.m, [bench] * sys.m)
     else:
-        _combo_budget(functions, budget)
+        combos = math.prod(len(f.terms) for f in functions)
+        if combos > budget:
+            raise ValueError(f"product of observables has {combos} term combinations, budget {budget}")
         avg = _avg_torus(sys, J, functions, w)
         const = fourier_const(sys.dim, bench)
     # The constant goes first, so its zero frequency leads the Parseval sum.
@@ -415,9 +415,9 @@ def _avg_cyclic(sys: Cyclic, J, functions, w) -> CyclicFunction:
 
 def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
     """A rotation frequency (k,) is read as (k, 0).  T^j moves frequency
-    (k1, k2) to (k1 + j k2, k2), so a term combination whose k2 are all 0
-    lands on one frequency for every n and is summed once; any other is
-    bucketed by its per-n frequency."""
+    (k1, k2) to (k1 + j k2, k2), so the term combinations whose k2 are
+    all 0 land on one frequency for every n and are contracted together;
+    any other is bucketed by its per-n frequency."""
     N = len(w)
     terms = [[((*fq, 0)[:2], a) for fq, a in f.terms] for f in functions]
     lin = [frac_multiples(sys.alpha, j.tolist()) for j in J]
@@ -429,8 +429,13 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
         if any(k2 for (_, k2), _ in ts) else None
         for j, ts in zip(J, terms)
     ]
-    acc: dict[tuple[int, int], complex] = {}
-    for combo in itertools.product(*terms):
+    stationary = [[t for t in ts if not t[0][1]] for ts in terms]
+    acc = _contract_stationary(stationary, lin, w) if all(stationary) else {}
+    # Every combination with some k2 != 0 once: i is the first iterate with one.
+    for combo in itertools.chain.from_iterable(
+        itertools.product(*stationary[:i], [t for t in ts if t[0][1]], *terms[i + 1 :])
+        for i, ts in enumerate(terms)
+    ):
         amp = 1 + 0j
         phase = np.zeros(N)
         for ((k1, k2), a), bl, bt in zip(combo, lin, tri):
@@ -439,20 +444,45 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
                 phase += (k1 * bl) % 1.0
             if k2:
                 phase += (k2 * bt) % 1.0
-        f1 = sum(k1 for (k1, _), _ in combo)
         f2 = sum(k2 for (_, k2), _ in combo)
-        moving = [k2 * j for ((_, k2), _), j in zip(combo, J) if k2]
-        if not moving:
-            val = amp * complex(np.sum(w * np.exp(2j * np.pi * phase))) / N
-            acc[(f1, 0)] = acc.get((f1, 0), 0j) + val
-            continue
         contrib = amp * w * np.exp(2j * np.pi * phase) / N
-        uniq, inv = np.unique(f1 + sum(moving), return_inverse=True)
+        uniq, inv = np.unique(sum(k1 + k2 * j for ((k1, k2), _), j in zip(combo, J)), return_inverse=True)
         sums = np.zeros(len(uniq), dtype=complex)
         np.add.at(sums, inv, contrib)
         for u, s in zip(uniq.tolist(), sums.tolist()):
             acc[(u, f2)] = acc.get((u, f2), 0j) + s
     return FourierPoly.make(sys.dim, [(key[: sys.dim], a) for key, a in acc.items()])
+
+
+def _contract_stationary(stationary, lin, w) -> dict[tuple[int, int], complex]:
+    """(1/N) sum_n w(n) prod_i a_i e(k_i frac(j_i(n) alpha)) over every
+    combination of terms ((k_i, 0), a_i), keyed by (sum_i k_i, 0).
+
+    Per CHUNK indices n, C_i[n, t] = a_t e(k_t frac(j_i(n) alpha)).  w C_1,
+    ..., C_(l-1) fold into P[n, F] over the distinct frequency sums F, and
+    one GEMM P^T C_l contracts the last iterate over n.  Each amplitude is
+    its N terms summed in another order: about N eps sum|a| off."""
+    ks = [np.array([k1 for (k1, _), _ in ts]) for ts in stationary]
+    amps = [np.array([a for _, a in ts]) for ts in stationary]
+    # The frequency sums after each iterate, and where sum F times term t goes.
+    sums, places = np.zeros(1, dtype=np.int64), []
+    for k in ks:
+        sums, inv = np.unique(np.add.outer(sums, k).ravel(), return_inverse=True)
+        places.append(inv.reshape(-1, len(k)))
+    G = np.zeros(places[-1].shape, dtype=complex)
+    for lo in range(0, len(w), CHUNK):
+        x = [np.outer(b[lo : lo + CHUNK], k) for k, b in zip(ks, lin)]
+        C = [a * np.exp(2j * np.pi * (y - np.floor(y))) for a, y in zip(amps, x)]  # y % 1.0, bit for bit
+        P = w[lo : lo + CHUNK, None].astype(complex)
+        for Ci, inv in zip(C[:-1], places):
+            folded = np.zeros((len(P), inv.max() + 1), dtype=complex)
+            for f in range(P.shape[1]):
+                folded[:, inv[f]] += P[:, f, None] * Ci
+            P = folded
+        G += P.T @ C[-1]
+    out = np.zeros(len(sums), dtype=complex)
+    np.add.at(out, places[-1], G / len(w))
+    return {(k, 0): a for k, a in zip(sums.tolist(), out.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +512,10 @@ def recurrence_profile(
 ) -> RecurrenceProfile:
     """mu(g and T^{-a_1(n)}g and ...) averaged over n <= N, for each N.
 
-    Cyclic systems take any number of iterates; the rotation supports
-    one or two (the correlation is expanded in coefficients, and the
-    pair case already needs a quadratic sweep).  The skew frame mixes
+    This is g paired with its multicorrelation average along the negated
+    iterates: pointwise on Z/m, coefficient by coefficient on the
+    rotation.  Cyclic systems take any number of iterates, the rotation
+    one or two.  The skew frame mixes
     frequencies under iteration in a way this expansion does not cover,
     so it is rejected here.
     """
@@ -495,6 +526,8 @@ def recurrence_profile(
         raise ValueError("average lengths must increase")
     if isinstance(sys, Skew):
         raise ValueError("recurrence profiles are not implemented on the skew system")
+    if isinstance(sys, Rotation) and len(iterates) > 2:
+        raise ValueError("rotation recurrence supports at most two iterates")
     _check_observable(sys, g)
     _require_real(sys, g)
     mu = integrate(sys, g)
@@ -509,7 +542,9 @@ def recurrence_profile(
             avg = _avg_cyclic(sys, [-j for j in Jn], [g] * len(Jn), np.ones(N))
             val = float(np.mean(g.as_array().real * avg.as_array().real))
         else:
-            val = _recur_rotation(sys, g, Jn)
+            # the sum over k of g_k times coefficient -k of avg_n prod_i T^(-j_i(n)) g
+            avg = _avg_torus(sys, [-j for j in Jn], [g] * len(Jn), np.ones(N))
+            val = float(sum(a * avg.amplitude((-k,)) for (k,), a in g.terms).real)
         series.append((N, val))
     return RecurrenceProfile(tuple(series), bench)
 
@@ -522,43 +557,6 @@ def _require_real(sys: SystemSpec, g) -> None:
     for (k,), a in g.terms:
         if abs(np.conj(a) - g.amplitude((-k,))) > 1e-12:
             raise ValueError("recurrence needs a real-valued g")
-
-
-def _recur_rotation(sys: Rotation, g: FourierPoly, J) -> float:
-    # Expand integral(g * prod_i T^{-j_i} g) over coefficient
-    # combinations whose frequencies cancel, with T^{-j} contributing
-    # e(-k j alpha) on the frequency-k component.
-    coeffs = {k: a for (k,), a in g.terms}
-    bases = [frac_multiples(sys.alpha, j.tolist()) for j in J]
-    N = len(J[0])
-    if len(J) == 1:
-        total = 0j
-        for k, a in coeffs.items():
-            a0 = coeffs.get(-k)
-            if a0 is None:
-                continue
-            mean = complex(np.mean(np.exp(-2j * np.pi * ((k * bases[0]) % 1.0))))
-            total += a0 * a * mean
-        return total.real
-    if len(J) == 2:
-        total = 0j
-        chunk = 1 << 14
-        ks = np.asarray(sorted(coeffs))
-        G = np.zeros((len(ks), len(ks)), dtype=complex)
-        for lo in range(0, N, chunk):
-            hi = min(lo + chunk, N)
-            M1 = np.exp(-2j * np.pi * np.outer(ks, bases[0][lo:hi]))
-            M2 = np.exp(-2j * np.pi * np.outer(ks, bases[1][lo:hi]))
-            G += M1 @ M2.T
-        G /= N
-        for i, k1 in enumerate(ks.tolist()):
-            for j2, k2 in enumerate(ks.tolist()):
-                a0 = coeffs.get(-(k1 + k2))
-                if a0 is None:
-                    continue
-                total += a0 * coeffs[k1] * coeffs[k2] * G[i, j2]
-        return total.real
-    raise ValueError("rotation recurrence supports at most two iterates")
 
 
 # ---------------------------------------------------------------------------

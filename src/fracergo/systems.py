@@ -266,11 +266,13 @@ def apply_power(sys: SystemSpec, f, n: int):
     # Torus: e(k1 x + k2 y) pulls back to frequency (k1 + n k2, k2) with
     # phase k1 n alpha + k2 n(n-1)/2 alpha; a rotation frequency (k,) is
     # the k2 = 0 slice (k, 0).
+    # frac_mult per term, with alpha reduced to num / den once per call.
     tri = n * (n - 1) // 2
+    num, den = Fraction(sys.alpha).as_integer_ratio()
     out = []
     for fq, a in f.terms:
         k1, k2 = (*fq, 0)[:2]
-        phase = frac_mult(sys.alpha, k1 * n) + (frac_mult(sys.alpha, k2 * tri) if k2 else 0.0)
+        phase = float(k1 * n * num % den) / den + (float(k2 * tri * num % den) / den if k2 else 0.0)
         out.append(((k1 + n * k2, k2)[: sys.dim], a * e(phase)))
     return FourierPoly.make(sys.dim, out)
 

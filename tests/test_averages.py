@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracergo.averages import (
+    CHUNK,
     Bounded,
     DeltaVonMangoldt,
     ExperimentResult,
@@ -38,6 +40,7 @@ from fracergo.systems import (
     fejer_arc,
     fourier_const,
     fourier_e,
+    frac_multiples,
     indicator,
     integrate,
     l2_distance,
@@ -368,6 +371,72 @@ def test_multi_average_torus_matches_operator_loop(case):
     assert out.distance == pytest.approx(l2_distance(acc, fourier_const(sys.dim, bench)), abs=1e-10)
 
 
+def _operator_loop_average(sys, iterates, funcs, N):
+    """(1/N) sum_n prod_i f_i o T^(a_i(n)), pulled back and multiplied out term by term."""
+    acc = fourier_const(sys.dim, 0)
+    for n in range(1, N + 1):
+        term = fourier_const(sys.dim, 1)
+        for it, f in zip(iterates, funcs):
+            term = multiply(term, apply_power(sys, f, iterate_value(it, n)))
+        acc = acc + term
+    return acc.scale(1.0 / N)
+
+
+@st.composite
+def three_iterate_case(draw):
+    """Three iterates on the rotation or the skew product.  On the skew
+    product the first term of every observable has k2 = 0, so the
+    combinations of those terms are contracted through a middle fold."""
+    sys = draw(st.sampled_from([Rotation(), Skew(0.3)]))
+    funcs = []
+    for _ in range(3):
+        terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1), _AMPS), min_size=1, max_size=3))
+        terms[0] = (terms[0][0], 0, terms[0][2])
+        funcs.append(FourierPoly.make(sys.dim, [((k1, k2)[: sys.dim], a) for k1, k2, a in terms]))
+    iterates = draw(st.lists(st.sampled_from([SQRT, THREEHALF, MIXED]), min_size=3, max_size=3))
+    return sys, [spec(e) for e in iterates], funcs, draw(st.integers(1, 30))
+
+
+@given(three_iterate_case())
+@settings(max_examples=40, deadline=None)
+def test_multi_average_three_iterates_matches_operator_loop(case):
+    sys, iterates, funcs, N = case
+    out = multi_average(sys, iterates, funcs, Unweighted(), N)
+    assert l2_distance(out.average, _operator_loop_average(sys, iterates, funcs, N)) < 1e-10
+
+
+def _average_per_combination(sys, iterates, funcs, w, table):
+    """A torus average of k2 = 0 terms summed one term combination at a
+    time, with one exp of the summed phases each."""
+    N = len(w)
+    ns = np.arange(1, N + 1)
+    bases = [frac_multiples(sys.alpha, iterate_values(it, ns, table).tolist()) for it in iterates]
+    acc = {}
+    for combo in itertools.product(*(f.terms for f in funcs)):
+        phase = sum((fq[0] * b) % 1.0 for (fq, _), b in zip(combo, bases))
+        amp = math.prod(a for _, a in combo)
+        key = sum(fq[0] for fq, _ in combo)
+        acc[key] = acc.get(key, 0j) + amp * complex(np.sum(w * np.exp(2j * np.pi * phase))) / N
+    return acc
+
+
+@pytest.mark.parametrize("sys", [Rotation(), Skew(0.3)], ids=["rotation", "skew"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_multi_average_across_chunk_boundaries(sys, count, table):
+    # Two full chunks and three indices of a third, with lambda weights.
+    N = 2 * CHUNK + 3
+    iterates = [spec(e) for e in (THREEHALF, SQRT, MIXED)[:count]]
+    funcs = [
+        FourierPoly.make(sys.dim, [((k, 0)[: sys.dim], a) for k, a in zip(ks, (0.5, 1 - 0.5j, 0.25j))])
+        for ks in ((1, -2, 3), (0, 2, -1), (1, 4, -3))[:count]
+    ]
+    out = multi_average(sys, iterates, funcs, VonMangoldt(), N, table)
+    want = _average_per_combination(sys, iterates, funcs, weight_values(VonMangoldt(), N, table), table)
+    assert {fq[0] for fq, _ in out.average.terms} == set(want)
+    for fq, a in out.average.terms:
+        assert abs(a - want[fq[0]]) < 1e-10
+
+
 def test_multi_average_cube_weight_benchmark_is_zero(table):
     sys = Cyclic(4)
     out = multi_average(
@@ -452,6 +521,37 @@ def test_recurrence_rotation_pair_matches_loop():
         )
         total += integrate(sys, prod).real
     assert val == pytest.approx(total / N, abs=1e-10)
+
+
+@st.composite
+def real_rotation_observable(draw):
+    """A real trigonometric polynomial: a_(-k) = conj(a_k), |k| <= 4."""
+    amps = {0: complex(draw(st.floats(-1.0, 1.0)))}
+    for k in draw(st.sets(st.integers(1, 4), max_size=4)):
+        a = draw(_AMPS)
+        amps[k], amps[-k] = a, a.conjugate()
+    return FourierPoly.make(1, [((k,), a) for k, a in amps.items()])
+
+
+@given(
+    st.sampled_from([Rotation(), Rotation(0.3)]),
+    real_rotation_observable(),
+    st.lists(st.sampled_from([SQRT, THREEHALF, MIXED]), min_size=1, max_size=2),
+    st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted),
+)
+@settings(max_examples=40, deadline=None)
+def test_recurrence_rotation_matches_brute_force(sys, g, exps, N_list):
+    iterates = [spec(e) for e in exps]
+    out = recurrence_profile(sys, g, iterates, N_list)
+    assert [N for N, _ in out.series] == N_list
+    for N, val in out.series:
+        total = 0.0
+        for n in range(1, N + 1):
+            prod = g
+            for it in iterates:
+                prod = multiply(prod, apply_power(sys, g, -iterate_value(it, n)))
+            total += integrate(sys, prod).real
+        assert val == pytest.approx(total / N, abs=1e-10)
 
 
 def test_recurrence_constant_function_is_flat():

@@ -167,6 +167,35 @@ def test_apply_power_skew_adds_exponents(a, b):
         assert amp == pytest.approx(rhs.amplitude(fq), abs=1e-11)
 
 
+_LARGE = st.integers(2**32 + 2, 2**40)
+
+
+@given(
+    st.sampled_from([Rotation(), Rotation(0.3), Skew(), Skew(0.3)]),
+    st.one_of(st.integers(-50, 50), _LARGE, _LARGE.map(lambda n: -n)),
+    st.lists(
+        st.tuples(
+            st.integers(-5, 5),
+            st.integers(-3, 3),
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_apply_power_matches_frac_mult_per_term(sys, n, terms):
+    # |n| >= 2^32 + 2 puts the triangular number n(n-1)/2 above 2^63.
+    f = FourierPoly.make(sys.dim, [((k1, k2)[: sys.dim], a) for k1, k2, a in terms])
+    tri = n * (n - 1) // 2
+    want = {}
+    for fq, a in f.terms:
+        k1, k2 = (*fq, 0)[:2]
+        phase = frac_mult(sys.alpha, k1 * n) + (frac_mult(sys.alpha, k2 * tri) if k2 else 0.0)
+        want[(k1 + n * k2, k2)[: sys.dim]] = a * e(phase)
+    assert dict(apply_power(sys, f, n).terms) == want
+
+
 def test_apply_power_rejects_mismatched_observables():
     with pytest.raises(ValueError):
         apply_power(Cyclic(3), CyclicFunction.make(4, [1, 0, 0, 0]), 1)
