@@ -42,6 +42,7 @@ from .systems import (
     Rotation,
     Skew,
     SystemSpec,
+    _canonical,
     _check_observable,
     describe,
     fourier_const,
@@ -289,11 +290,23 @@ def iterate_values(
     ns = np.asarray(ns, dtype=np.int64)
     xs = _argument_values(spec, ns, table)
     vals = spec.poly.eval((), xs)
+    # Floors are int64: refuse what the cast would wrap with only a warning
+    # (a double that rounds up to 2^63 too), and an exact re-do past it.
+    outside = np.flatnonzero(~((vals >= -(2.0**63)) & (vals < 2.0**63)))
+    if len(outside):
+        raise _beyond_int64(spec, ns[outside[0]])
     out = np.floor(vals).astype(np.int64)
     risky = np.flatnonzero(np.abs(vals - np.rint(vals)) < _guard_band(spec.poly, xs))
     for i in risky:
-        out[i] = _floor_exact(spec.poly, int(xs[i]))
+        y = _floor_exact(spec.poly, int(xs[i]))
+        if not -(2**63) <= y < 2**63:
+            raise _beyond_int64(spec, ns[i])
+        out[i] = y
     return out
+
+
+def _beyond_int64(spec: IterateSpec, n) -> ValueError:
+    return ValueError(f"iterate_values: floor of {spec.poly} at n = {n} is outside the int64 range")
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +403,7 @@ def multi_average(
         avg = _avg_cyclic(sys, J, functions, w)
         const = CyclicFunction.make(sys.m, [bench] * sys.m)
     else:
-        combos = math.prod(len(f.terms) for f in functions)
+        combos = math.prod(len(f.amps) for f in functions)
         if combos > budget:
             raise ValueError(f"product of observables has {combos} term combinations, budget {budget}")
         avg = _avg_torus(sys, J, functions, w)
@@ -417,59 +430,58 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
     """A rotation frequency (k,) is read as (k, 0).  T^j moves frequency
     (k1, k2) to (k1 + j k2, k2), so the term combinations whose k2 are
     all 0 land on one frequency for every n and are contracted together;
-    any other is bucketed by its per-n frequency."""
+    any other lands on a frequency per n, and the rows are merged once."""
     N = len(w)
-    terms = [[((*fq, 0)[:2], a) for fq, a in f.terms] for f in functions]
+    rows = [f.planar() for f in functions]
     lin = [frac_multiples(sys.alpha, j.tolist()) for j in J]
     # Phases k * frac(j alpha) are off by at most |k| ulps.  Triangular
     # numbers overflow int64 for large iterates, so Python ints feed the
     # exact reduction; only k2 != 0 terms need them.
     tri = [
-        frac_multiples(sys.alpha, [x * (x - 1) // 2 for x in j.tolist()])
-        if any(k2 for (_, k2), _ in ts) else None
-        for j, ts in zip(J, terms)
+        frac_multiples(sys.alpha, [x * (x - 1) // 2 for x in j.tolist()]) if r[:, 1].any() else None
+        for j, r in zip(J, rows)
     ]
-    stationary = [[t for t in ts if not t[0][1]] for ts in terms]
-    acc = _contract_stationary(stationary, lin, w) if all(stationary) else {}
+    still = [np.flatnonzero(r[:, 1] == 0) for r in rows]
+    parts = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=complex))]
+    if all(map(len, still)):
+        ks, amps = [r[t, 0] for r, t in zip(rows, still)], [f.amps[t] for f, t in zip(functions, still)]
+        k, a = _contract_stationary(ks, amps, lin, w)
+        parts.append((np.column_stack([k, 0 * k]), a))
     # Every combination with some k2 != 0 once: i is the first iterate with one.
     for combo in itertools.chain.from_iterable(
-        itertools.product(*stationary[:i], [t for t in ts if t[0][1]], *terms[i + 1 :])
-        for i, ts in enumerate(terms)
+        itertools.product(*still[:i], np.flatnonzero(r[:, 1]), *map(range, map(len, rows[i + 1 :])))
+        for i, r in enumerate(rows)
     ):
-        amp = 1 + 0j
-        phase = np.zeros(N)
-        for ((k1, k2), a), bl, bt in zip(combo, lin, tri):
-            amp *= a
-            if k1:
-                phase += (k1 * bl) % 1.0
-            if k2:
-                phase += (k2 * bt) % 1.0
-        f2 = sum(k2 for (_, k2), _ in combo)
-        contrib = amp * w * np.exp(2j * np.pi * phase) / N
-        uniq, inv = np.unique(sum(k1 + k2 * j for ((k1, k2), _), j in zip(combo, J)), return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=complex)
-        np.add.at(sums, inv, contrib)
-        for u, s in zip(uniq.tolist(), sums.tolist()):
-            acc[(u, f2)] = acc.get((u, f2), 0j) + s
-    return FourierPoly.make(sys.dim, [(key[: sys.dim], a) for key, a in acc.items()])
+        k1, k2, amp, phase = 0, 0, 1 + 0j, np.zeros(N)
+        for r, f, t, j, bl, bt in zip(rows, functions, combo, J, lin, tri):
+            (c1, c2), amp = r[t].tolist(), amp * complex(f.amps[t])
+            if c1:
+                phase += (c1 * bl) % 1.0
+            if c2:
+                phase += (c2 * bt) % 1.0
+            k1, k2 = k1 + c1 + c2 * j, k2 + c2
+        parts.append((np.column_stack([k1, np.full(N, k2)]), amp * w * np.exp(2j * np.pi * phase) / N))
+    freqs, sums = map(np.concatenate, zip(*parts))
+    return _canonical(sys.dim, freqs[:, : sys.dim], sums)
 
 
-def _contract_stationary(stationary, lin, w) -> dict[tuple[int, int], complex]:
+def _contract_stationary(ks, amps, lin, w) -> tuple[np.ndarray, np.ndarray]:
     """(1/N) sum_n w(n) prod_i a_i e(k_i frac(j_i(n) alpha)) over every
-    combination of terms ((k_i, 0), a_i), keyed by (sum_i k_i, 0).
+    combination of terms (k_i, a_i), one term of each iterate's
+    frequencies ks[i] and amplitudes amps[i]; returns sums of k_i and
+    their amplitudes, a sum repeated when it arises in several ways.
 
     Per CHUNK indices n, C_i[n, t] = a_t e(k_t frac(j_i(n) alpha)).  w C_1,
     ..., C_(l-1) fold into P[n, F] over the distinct frequency sums F, and
     one GEMM P^T C_l contracts the last iterate over n.  Each amplitude is
     its N terms summed in another order: about N eps sum|a| off."""
-    ks = [np.array([k1 for (k1, _), _ in ts]) for ts in stationary]
-    amps = [np.array([a for _, a in ts]) for ts in stationary]
-    # The frequency sums after each iterate, and where sum F times term t goes.
+    # The frequency sums after each but the last iterate, and where sum F
+    # times term t goes.
     sums, places = np.zeros(1, dtype=np.int64), []
-    for k in ks:
+    for k in ks[:-1]:
         sums, inv = np.unique(np.add.outer(sums, k).ravel(), return_inverse=True)
         places.append(inv.reshape(-1, len(k)))
-    G = np.zeros(places[-1].shape, dtype=complex)
+    G = np.zeros((len(sums), len(ks[-1])), dtype=complex)
     for lo in range(0, len(w), CHUNK):
         x = [np.outer(b[lo : lo + CHUNK], k) for k, b in zip(ks, lin)]
         C = [a * np.exp(2j * np.pi * (y - np.floor(y))) for a, y in zip(amps, x)]  # y % 1.0, bit for bit
@@ -480,9 +492,7 @@ def _contract_stationary(stationary, lin, w) -> dict[tuple[int, int], complex]:
                 folded[:, inv[f]] += P[:, f, None] * Ci
             P = folded
         G += P.T @ C[-1]
-    out = np.zeros(len(sums), dtype=complex)
-    np.add.at(out, places[-1], G / len(w))
-    return {(k, 0): a for k, a in zip(sums.tolist(), out.tolist())}
+    return np.add.outer(sums, ks[-1]).ravel(), (G / len(w)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -544,19 +554,17 @@ def recurrence_profile(
         else:
             # the sum over k of g_k times coefficient -k of avg_n prod_i T^(-j_i(n)) g
             avg = _avg_torus(sys, [-j for j in Jn], [g] * len(Jn), np.ones(N))
-            val = float(sum(a * avg.amplitude((-k,)) for (k,), a in g.terms).real)
+            _, ig, ia = np.intersect1d(-g.freqs[:, 0], avg.freqs[:, 0], return_indices=True)
+            val = float(np.sum(g.amps[ig] * avg.amps[ia]).real)
         series.append((N, val))
     return RecurrenceProfile(tuple(series), bench)
 
 
 def _require_real(sys: SystemSpec, g) -> None:
-    if isinstance(sys, Cyclic):
-        if any(abs(v.imag) > 1e-12 for v in g.values):
-            raise ValueError("recurrence needs a real-valued g")
-        return
-    for (k,), a in g.terms:
-        if abs(np.conj(a) - g.amplitude((-k,))) > 1e-12:
-            raise ValueError("recurrence needs a real-valued g")
+    # on a torus, g.conjugate() has conj(g_(-k)) at k
+    imag = [v.imag for v in g.values] if isinstance(sys, Cyclic) else (g + g.conjugate().scale(-1)).amps
+    if np.any(np.abs(imag) > 1e-12):
+        raise ValueError("recurrence needs a real-valued g")
 
 
 # ---------------------------------------------------------------------------

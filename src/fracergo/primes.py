@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple, Optional, Sequence
@@ -122,12 +123,16 @@ def save_table(table: PrimeTable, path: str) -> None:
     bitset with one bit per odd integer (bit i is the flag of 2i+1)."""
     odd_flags = table.is_prime[1::2]
     payload = np.packbits(odd_flags, bitorder="little").tobytes()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(table.limit.to_bytes(8, "little"))
-        fh.write(payload)
-    os.replace(tmp, path)
+    # A temp file of its own in the cache's directory, so that runs sharing
+    # a cache never write the same file and the rename stays atomic.
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(CACHE_MAGIC + table.limit.to_bytes(8, "little") + payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path: str) -> PrimeTable:

@@ -68,9 +68,11 @@ def gowers_norm_cyclic(f: CyclicFunction, s: int) -> float:
 
 
 def _cyclic_pow(v: np.ndarray, s: int) -> float:
-    # ||f||_s ^ (2^s), recursively.
+    # ||f||_s ^ (2^s), recursively down to ||f||_2 ^ 4 = sum_xi |f-hat(xi)|^4.
     if s == 1:
         return abs(v.mean()) ** 2
+    if s == 2:
+        return float(np.sum(np.abs(np.fft.fft(v) / len(v)) ** 4))
     m = len(v)
     total = 0.0
     vc = np.conj(v)
@@ -128,4 +130,4 @@ def fourier_seminorm_rotation(f: FourierPoly, s: int) -> float:
     if f.dim != 1:
         raise ValueError("rotation observables are 1-dimensional")
     p = 2**s
-    return float(sum(abs(a) ** p for _, a in f.terms)) ** (1.0 / p)
+    return float(np.sum(np.abs(f.amps) ** p)) ** (1.0 / p)

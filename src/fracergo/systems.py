@@ -9,6 +9,10 @@ integration:
 * ``Rotation(alpha)`` -- x -> x + alpha on the circle, the skew product's
   k2 = 0 slice: its frequency (k,) is read as (k, 0).
 
+Torus observables are ``FourierPoly``, a pair of read-only arrays (int64
+frequencies, complex128 amplitudes) in one canonical order that every
+torus operation keeps.
+
 Character phases like e(k n alpha) are reduced mod 1 in exact integer
 arithmetic on the binary representation of alpha before any float
 rounding: n(n-1)/2 reaches 1e18 at desk scale, where a double loses the
@@ -109,19 +113,15 @@ def parse_system(text: str) -> SystemSpec:
 
 
 def frac_mult(alpha: float, n: int) -> float:
-    """Fractional part of n*alpha, exact in the double representation.
-
-    alpha as stored is a dyadic rational A / 2^e; n*A mod 2^e is exact
-    integer arithmetic, so the only rounding is the final division.
-    """
-    fr = Fraction(alpha)
-    return float(int(n) * fr.numerator % fr.denominator) / fr.denominator
+    """Fractional part of n*alpha: one entry of ``frac_multiples``."""
+    return float(frac_multiples(alpha, [n])[0])
 
 
 def frac_multiples(alpha: float, ns: Iterable[int]) -> np.ndarray:
-    """Vector form of ``frac_mult`` (Python-int exact path per entry)."""
-    fr = Fraction(alpha)
-    num, den = fr.numerator, fr.denominator
+    """Fractional parts of n*alpha, exact in the double representation:
+    alpha as stored is a dyadic rational A / 2^e, n*A mod 2^e is exact
+    integer arithmetic, so the only rounding is the final division."""
+    num, den = Fraction(alpha).as_integer_ratio()
     fden = float(den)
     return np.array([(int(n) * num % den) / fden for n in ns])
 
@@ -131,60 +131,85 @@ def e(x: float) -> complex:
     return cmath.exp(2j * math.pi * x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierPoly:
-    """Finite trigonometric polynomial on the d-torus, d in {1, 2}.
-
-    One term per frequency, exactly-zero amplitudes dropped.
-    """
+    """Finite trigonometric polynomial on the d-torus, d in {1, 2}: read-only
+    ``freqs`` (int64, one row per frequency) and ``amps`` (complex128), exact
+    zeros dropped, rows sorted with k_d as the major key.  The skew shear
+    (k1, k2) -> (k1 + n k2, k2) and translations keep that order, and
+    negating every row reverses it."""
 
     dim: int
-    terms: tuple[tuple[tuple[int, ...], complex], ...]
+    freqs: np.ndarray
+    amps: np.ndarray
+
+    def __post_init__(self):
+        # Rows come sorted and distinct, in arrays nothing else writes to.
+        if np.count_nonzero(self.amps) < len(self.amps):
+            keep = self.amps != 0
+            object.__setattr__(self, "freqs", self.freqs[keep])
+            object.__setattr__(self, "amps", self.amps[keep])
+        self.freqs.setflags(write=False)
+        self.amps.setflags(write=False)
 
     @staticmethod
     def make(dim: int, entries) -> "FourierPoly":
+        """From (freq, amp) pairs or a {freq: amp} mapping; repeated
+        frequencies are summed."""
         if dim not in (1, 2):
             raise ValueError("only 1- and 2-dimensional tori are supported")
-        canon: dict[tuple[int, ...], complex] = {}
-        items = entries.items() if hasattr(entries, "items") else entries
-        for freq, amp in items:
-            freq = tuple(int(f) for f in freq)
+        entries = list(entries.items() if hasattr(entries, "items") else entries)
+        for freq, _ in entries:
             if len(freq) != dim:
-                raise ValueError(f"frequency {freq} is not {dim}-dimensional")
-            canon[freq] = canon.get(freq, 0j) + complex(amp)
-        return FourierPoly(
-            dim, tuple(sorted((f, a) for f, a in canon.items() if a != 0))
-        )
+                raise ValueError(f"frequency {tuple(freq)} is not {dim}-dimensional")
+        try:
+            freqs = np.array([tuple(f) for f, _ in entries], dtype=np.int64).reshape(-1, dim)
+        except OverflowError:
+            raise ValueError("frequencies must lie in the int64 range") from None
+        return _canonical(dim, freqs, np.array([a for _, a in entries], dtype=complex))
 
     @staticmethod
     def zero(dim: int) -> "FourierPoly":
-        return FourierPoly(dim, ())
+        return FourierPoly(dim, np.zeros((0, dim), dtype=np.int64), np.zeros(0, dtype=complex))
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], complex], ...]:
+        """A tuple view ((freq, amp), ...), built on each read."""
+        return tuple(zip(map(tuple, self.freqs.tolist()), self.amps.tolist()))
+
+    def planar(self) -> np.ndarray:
+        """The (k1, k2) rows; a circle frequency k is (k, 0)."""
+        return self.freqs if self.dim == 2 else np.hstack([self.freqs, np.zeros_like(self.freqs)])
 
     def amplitude(self, freq: tuple[int, ...]) -> complex:
-        for f, a in self.terms:
-            if f == freq:
-                return a
-        return 0j
+        return complex(self.amps[(self.freqs == freq).all(axis=1)].sum())
 
     def conjugate(self) -> "FourierPoly":
-        return FourierPoly.make(
-            self.dim,
-            [(tuple(-x for x in f), a.conjugate()) for f, a in self.terms],
-        )
+        return FourierPoly(self.dim, -self.freqs[::-1], self.amps[::-1].conj())
 
     def scale(self, c: complex) -> "FourierPoly":
-        return FourierPoly.make(self.dim, [(f, c * a) for f, a in self.terms])
+        return FourierPoly(self.dim, self.freqs, self.amps * c)
 
     def __add__(self, other: "FourierPoly") -> "FourierPoly":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return FourierPoly.make(self.dim, list(self.terms) + list(other.terms))
+        return _canonical(self.dim, np.vstack([self.freqs, other.freqs]), np.hstack([self.amps, other.amps]))
 
     def sup_bound(self) -> float:
-        return float(sum(abs(a) for _, a in self.terms))
+        return float(np.sum(np.abs(self.amps)))
 
     def value_at(self, x: Sequence[float]) -> complex:
-        return sum(a * e(sum(k * xi for k, xi in zip(f, x))) for f, a in self.terms)
+        return complex(np.sum(self.amps * np.exp(2j * np.pi * (self.freqs @ np.asarray(x, dtype=float)))))
+
+
+def _canonical(dim: int, freqs: np.ndarray, amps: np.ndarray) -> FourierPoly:
+    """Rows sorted (stably), each run of equal rows summed, zeros dropped."""
+    if len(amps) > 1:
+        order = np.lexsort(freqs.T)  # the last key, k_d, is the major one
+        freqs = freqs[order]
+        starts = np.flatnonzero(np.r_[True, (freqs[1:] != freqs[:-1]).any(axis=1)])
+        freqs, amps = freqs[starts], np.add.reduceat(amps[order], starts)
+    return FourierPoly(dim, freqs, amps)
 
 
 @dataclass(frozen=True)
@@ -265,16 +290,19 @@ def apply_power(sys: SystemSpec, f, n: int):
         return CyclicFunction(sys.m, vals)
     # Torus: e(k1 x + k2 y) pulls back to frequency (k1 + n k2, k2) with
     # phase k1 n alpha + k2 n(n-1)/2 alpha; a rotation frequency (k,) is
-    # the k2 = 0 slice (k, 0).
-    # frac_mult per term, with alpha reduced to num / den once per call.
+    # the k2 = 0 slice (k, 0).  Each phase is reduced mod 1 in Python ints
+    # with alpha = num / den, as frac_mult does.  The shear keeps the
+    # k2-major order; a shifted k1 past int64 raises on assignment.
     tri = n * (n - 1) // 2
-    num, den = Fraction(sys.alpha).as_integer_ratio()
-    out = []
-    for fq, a in f.terms:
-        k1, k2 = (*fq, 0)[:2]
-        phase = float(k1 * n * num % den) / den + (float(k2 * tri * num % den) / den if k2 else 0.0)
-        out.append(((k1 + n * k2, k2)[: sys.dim], a * e(phase)))
-    return FourierPoly.make(sys.dim, out)
+    num, den = sys.alpha.as_integer_ratio()
+    rows = f.planar().tolist()
+    amps = [
+        a * e(float(k1 * n * num % den) / den + (float(k2 * tri * num % den) / den if k2 else 0.0))
+        for (k1, k2), a in zip(rows, f.amps.tolist())
+    ]
+    freqs = f.freqs.copy()
+    freqs[:, 0] = [k1 + n * k2 for k1, k2 in rows]
+    return FourierPoly(f.dim, freqs, np.array(amps, dtype=complex))
 
 
 def integrate(sys: SystemSpec, f) -> complex:
@@ -295,21 +323,20 @@ def multiply(f, g, budget: int = TERM_BUDGET):
         return CyclicFunction(f.m, tuple(a * b for a, b in zip(f.values, g.values)))
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    needed = len(f.terms) * len(g.terms)
+    needed = len(f.amps) * len(g.amps)
     if needed > budget:
         raise TermBudgetError(needed, budget)
-    out: dict[tuple[int, ...], complex] = {}
-    for fq1, a1 in f.terms:
-        for fq2, a2 in g.terms:
-            key = tuple(x + y for x, y in zip(fq1, fq2))
-            out[key] = out.get(key, 0j) + a1 * a2
-    return FourierPoly.make(f.dim, out)
+    if len(f.amps) == 1:
+        # a translation keeps the order, so nothing merges
+        return FourierPoly(f.dim, g.freqs + f.freqs[0], g.amps * f.amps[0])
+    freqs = (f.freqs[:, None, :] + g.freqs[None, :, :]).reshape(needed, f.dim)
+    return _canonical(f.dim, freqs, np.multiply.outer(f.amps, g.amps).ravel())
 
 
 def l2_norm(f) -> float:
     if isinstance(f, CyclicFunction):
         return float(np.sqrt(np.mean(np.abs(f.as_array()) ** 2)))
-    return math.sqrt(sum(abs(a) ** 2 for _, a in f.terms))
+    return float(np.linalg.norm(f.amps))
 
 
 def l2_distance(f, g) -> float:
@@ -318,9 +345,4 @@ def l2_distance(f, g) -> float:
         if not isinstance(g, CyclicFunction) or g.m != f.m:
             raise ValueError("modulus mismatch")
         return float(np.sqrt(np.mean(np.abs(f.as_array() - g.as_array()) ** 2)))
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    amps: dict[tuple[int, ...], complex] = dict(f.terms)
-    for fq, a in g.terms:
-        amps[fq] = amps.get(fq, 0j) - a
-    return math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return l2_norm(f + g.scale(-1))

@@ -175,6 +175,18 @@ def test_iterate_primes_mode(table):
         iterate_values(s, [10**7], table)
 
 
+@pytest.mark.parametrize("c, first_bad", [(10**19, 1), (-(10**19), 1), (2**62, 2)])
+def test_iterate_values_refuse_floors_outside_int64(c, first_bad):
+    # c n^(3/2) passes 2^63 (or -2^63) at n = first_bad; numpy would wrap it.
+    with pytest.raises(ValueError, match=f"at n = {first_bad} is outside the int64 range"):
+        iterate_values(spec({F(3, 2): c}), range(1, 11))
+
+
+def test_iterate_values_keep_the_int64_end_points():
+    assert iterate_values(spec({1: -(2**63)}), [1]).tolist() == [-(2**63)]
+    assert iterate_values(spec({F(3, 2): 2**62}), [1]).tolist() == [2**62]
+
+
 # ---------------------------------------------------------------------------
 # weights
 

@@ -343,6 +343,14 @@ def test_error_paths_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("c", [10**19, -(10**19)])
+def test_equidist_iterates_beyond_int64_exit_one(tmp_path, capsys, c):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): c}])
+    assert main(["equidist", "--family", fam, "--N", "10", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: iterate_values: ") and "at n = 1 is outside the int64 range" in err
+
+
 def _null_exponent(tmp_path):
     path = tmp_path / "fam.json"
     data = family_to_json(Family((rexp_poly(0, {F(3, 2): 1}),)))

@@ -112,6 +112,19 @@ def test_sieve_reuses_covering_cache(tmp_path):
     assert load_table(path).limit == 800
 
 
+def test_cache_write_uses_a_temp_file_of_its_own(tmp_path):
+    # a leftover directory where a fixed temp name would go breaks nothing
+    path = tmp_path / "p.sieve"
+    (tmp_path / "p.sieve.tmp").mkdir()
+    t = sieve(1000, cache_path=str(path))
+    assert load_table(str(path)).primes.tolist() == t.primes.tolist()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.sieve", "p.sieve.tmp"]
+    # a failed write leaves no temp file behind
+    with pytest.raises(OSError):
+        save_table(t, str(tmp_path / "p.sieve.tmp"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.sieve", "p.sieve.tmp"]
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.sieve"
     path.write_bytes(b"NOTMAGIC" + (0).to_bytes(8, "little"))

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -281,3 +282,88 @@ def test_parse_system_text():
     for bad in ("cyclic", "cyclic:x", "galois:7", "rotation:abc"):
         with pytest.raises(ValueError):
             parse_system(bad)
+
+
+# ---------------------------------------------------------------------------
+# the array representation against a dict of terms
+
+# Small dyadic amplitudes: their sums and products are exact in any order,
+# so a frequency cancels to exactly 0 on both sides or on neither.
+_DYADIC = st.builds(lambda a, b: complex(a, b) / 4, st.integers(-4, 4), st.integers(-4, 4))
+
+
+@st.composite
+def _entries(draw, dim):
+    """(freq, amp) pairs with repeated frequencies, some cancelling exactly."""
+    entries = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * dim), _DYADIC), max_size=8))
+    if entries:
+        entries += [(fq, -a) for fq, a in draw(st.lists(st.sampled_from(entries), max_size=3))]
+    return entries
+
+
+def _dict_of(entries):
+    acc = {}
+    for fq, a in entries:
+        acc[fq] = acc.get(fq, 0j) + a
+    return {fq: a for fq, a in acc.items() if a != 0}
+
+
+def _dict_apply_power(sys, f, n):
+    tri = n * (n - 1) // 2
+    out = {}
+    for fq, a in f.items():
+        k1, k2 = (*fq, 0)[:2]
+        phase = frac_mult(sys.alpha, k1 * n) + (frac_mult(sys.alpha, k2 * tri) if k2 else 0.0)
+        out[(k1 + n * k2, k2)[: sys.dim]] = a * e(phase)
+    return out
+
+
+def _agrees(poly, want):
+    got = dict(poly.terms)
+    assert set(got) == set(want)
+    for fq, a in want.items():
+        assert abs(got[fq] - a) <= 1e-12 * abs(a)
+    # canonical: each frequency once, sorted with the last coordinate major
+    assert [fq[::-1] for fq in got] == sorted(fq[::-1] for fq in got)
+    assert poly.freqs.dtype == np.int64 and poly.amps.dtype == np.complex128
+    assert poly.freqs.shape == (len(want), poly.dim)
+
+
+@given(
+    st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(st.just(d), _entries(d), _entries(d))),
+    st.integers(-40, 40),
+    st.sampled_from([ALPHA_DEFAULT, 0.3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_fourier_arrays_match_dict_oracle(case, n, alpha):
+    dim, ef, eg = case
+    sys = Rotation(alpha) if dim == 1 else Skew(alpha)
+    f, g = FourierPoly.make(dim, ef), FourierPoly.make(dim, eg)
+    df, dg = _dict_of(ef), _dict_of(eg)
+    _agrees(f, df)
+    _agrees(f + g, _dict_of(ef + eg))
+    products = [(tuple(x + y for x, y in zip(k, q)), a * b) for k, a in df.items() for q, b in dg.items()]
+    _agrees(multiply(f, g), _dict_of(products))
+    _agrees(f.conjugate(), {tuple(-x for x in fq): a.conjugate() for fq, a in df.items()})
+    _agrees(apply_power(sys, f, n), _dict_apply_power(sys, df, n))
+    for fq in itertools.product(range(-4, 5), repeat=dim):
+        assert f.amplitude(fq) == df.get(fq, 0j)
+    assert integrate(sys, f) == df.get((0,) * dim, 0j)
+    want = math.sqrt(sum(abs(df.get(k, 0j) - dg.get(k, 0j)) ** 2 for k in set(df) | set(dg)))
+    assert l2_distance(f, g) == pytest.approx(want, rel=1e-12)
+
+
+def test_fourier_make_refuses_frequencies_beyond_int64():
+    with pytest.raises(ValueError, match="int64"):
+        FourierPoly.make(1, [((2**63,), 1.0)])
+
+
+def test_fourier_arrays_are_read_only():
+    f = fejer_arc(0.3, 4)
+    with pytest.raises(ValueError):
+        f.amps[0] = 0
+    with pytest.raises(ValueError):
+        f.freqs[0, 0] = 7
+    with pytest.raises(AttributeError):
+        f.amps = np.zeros(9, dtype=complex)
+    assert f.conjugate().amps.flags.writeable is False
