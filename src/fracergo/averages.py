@@ -430,9 +430,10 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
     """A rotation frequency (k,) is read as (k, 0).  T^j moves frequency
     (k1, k2) to (k1 + j k2, k2), so the term combinations whose k2 are
     all 0 land on one frequency for every n and are contracted together;
-    any other lands on a frequency per n, and the rows are merged once."""
+    any other lands on a frequency per n, and its N rows are merged into
+    the sum before the next combination."""
     N = len(w)
-    rows = [f.planar() for f in functions]
+    rows = [np.pad(f.freqs, ((0, 0), (0, 2 - f.dim))) for f in functions]
     lin = [frac_multiples(sys.alpha, j.tolist()) for j in J]
     # Phases k * frac(j alpha) are off by at most |k| ulps.  Triangular
     # numbers overflow int64 for large iterates, so Python ints feed the
@@ -442,11 +443,12 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
         for j, r in zip(J, rows)
     ]
     still = [np.flatnonzero(r[:, 1] == 0) for r in rows]
-    parts = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=complex))]
+    acc = FourierPoly.zero(2)
     if all(map(len, still)):
-        ks, amps = [r[t, 0] for r, t in zip(rows, still)], [f.amps[t] for f, t in zip(functions, still)]
+        ks = [r[t, 0] for r, t in zip(rows, still)]
+        amps = [f.amps[t] for f, t in zip(functions, still)]
         k, a = _contract_stationary(ks, amps, lin, w)
-        parts.append((np.column_stack([k, 0 * k]), a))
+        acc = _canonical(2, np.column_stack([k, 0 * k]), a)
     # Every combination with some k2 != 0 once: i is the first iterate with one.
     for combo in itertools.chain.from_iterable(
         itertools.product(*still[:i], np.flatnonzero(r[:, 1]), *map(range, map(len, rows[i + 1 :])))
@@ -454,15 +456,18 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
     ):
         k1, k2, amp, phase = 0, 0, 1 + 0j, np.zeros(N)
         for r, f, t, j, bl, bt in zip(rows, functions, combo, J, lin, tri):
-            (c1, c2), amp = r[t].tolist(), amp * complex(f.amps[t])
+            c1, c2 = r[t].tolist()
+            amp *= complex(f.amps[t])
             if c1:
                 phase += (c1 * bl) % 1.0
             if c2:
                 phase += (c2 * bt) % 1.0
-            k1, k2 = k1 + c1 + c2 * j, k2 + c2
-        parts.append((np.column_stack([k1, np.full(N, k2)]), amp * w * np.exp(2j * np.pi * phase) / N))
-    freqs, sums = map(np.concatenate, zip(*parts))
-    return _canonical(sys.dim, freqs[:, : sys.dim], sums)
+            k1 = k1 + c1 + c2 * j
+            k2 += c2
+        contrib = amp * w * np.exp(2j * np.pi * phase) / N
+        freqs = np.vstack([acc.freqs, np.column_stack([k1, np.full(N, k2)])])
+        acc = _canonical(2, freqs, np.concatenate([acc.amps, contrib]))
+    return FourierPoly(sys.dim, acc.freqs[:, : sys.dim], acc.amps)
 
 
 def _contract_stationary(ks, amps, lin, w) -> tuple[np.ndarray, np.ndarray]:
@@ -561,9 +566,12 @@ def recurrence_profile(
 
 
 def _require_real(sys: SystemSpec, g) -> None:
-    # on a torus, g.conjugate() has conj(g_(-k)) at k
-    imag = [v.imag for v in g.values] if isinstance(sys, Cyclic) else (g + g.conjugate().scale(-1)).amps
-    if np.any(np.abs(imag) > 1e-12):
+    if isinstance(sys, Cyclic):
+        defect = np.array([v.imag for v in g.values])
+    else:
+        # g - conj(g): g.conjugate() has conj(g_(-k)) at k
+        defect = (g + g.conjugate().scale(-1)).amps
+    if np.any(np.abs(defect) > 1e-12):
         raise ValueError("recurrence needs a real-valued g")
 
 

@@ -128,7 +128,13 @@ def save_table(table: PrimeTable, path: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(CACHE_MAGIC + table.limit.to_bytes(8, "little") + payload)
+            fh.write(CACHE_MAGIC)
+            fh.write(table.limit.to_bytes(8, "little"))
+            fh.write(payload)
+        # mkstemp's file is private (0600); a cache gets the mode open() gives
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

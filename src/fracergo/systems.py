@@ -113,15 +113,19 @@ def parse_system(text: str) -> SystemSpec:
 
 
 def frac_mult(alpha: float, n: int) -> float:
-    """Fractional part of n*alpha: one entry of ``frac_multiples``."""
-    return float(frac_multiples(alpha, [n])[0])
+    """Fractional part of n*alpha, exact in the double representation.
+
+    alpha as stored is a dyadic rational A / 2^e; n*A mod 2^e is exact
+    integer arithmetic, so the only rounding is the final division.
+    """
+    fr = Fraction(alpha)
+    return float(int(n) * fr.numerator % fr.denominator) / fr.denominator
 
 
 def frac_multiples(alpha: float, ns: Iterable[int]) -> np.ndarray:
-    """Fractional parts of n*alpha, exact in the double representation:
-    alpha as stored is a dyadic rational A / 2^e, n*A mod 2^e is exact
-    integer arithmetic, so the only rounding is the final division."""
-    num, den = Fraction(alpha).as_integer_ratio()
+    """Vector form of ``frac_mult`` (Python-int exact path per entry)."""
+    fr = Fraction(alpha)
+    num, den = fr.numerator, fr.denominator
     fden = float(den)
     return np.array([(int(n) * num % den) / fden for n in ns])
 
@@ -159,13 +163,12 @@ class FourierPoly:
         if dim not in (1, 2):
             raise ValueError("only 1- and 2-dimensional tori are supported")
         entries = list(entries.items() if hasattr(entries, "items") else entries)
-        for freq, _ in entries:
+        rows = [tuple(map(int, f)) for f, _ in entries]
+        for freq in rows:
             if len(freq) != dim:
-                raise ValueError(f"frequency {tuple(freq)} is not {dim}-dimensional")
-        try:
-            freqs = np.array([tuple(f) for f, _ in entries], dtype=np.int64).reshape(-1, dim)
-        except OverflowError:
-            raise ValueError("frequencies must lie in the int64 range") from None
+                raise ValueError(f"frequency {freq} is not {dim}-dimensional")
+            _check_reach(max(map(abs, freq)))
+        freqs = np.array(rows, dtype=np.int64).reshape(-1, dim)
         return _canonical(dim, freqs, np.array([a for _, a in entries], dtype=complex))
 
     @staticmethod
@@ -176,10 +179,6 @@ class FourierPoly:
     def terms(self) -> tuple[tuple[tuple[int, ...], complex], ...]:
         """A tuple view ((freq, amp), ...), built on each read."""
         return tuple(zip(map(tuple, self.freqs.tolist()), self.amps.tolist()))
-
-    def planar(self) -> np.ndarray:
-        """The (k1, k2) rows; a circle frequency k is (k, 0)."""
-        return self.freqs if self.dim == 2 else np.hstack([self.freqs, np.zeros_like(self.freqs)])
 
     def amplitude(self, freq: tuple[int, ...]) -> complex:
         return complex(self.amps[(self.freqs == freq).all(axis=1)].sum())
@@ -199,7 +198,22 @@ class FourierPoly:
         return float(np.sum(np.abs(self.amps)))
 
     def value_at(self, x: Sequence[float]) -> complex:
-        return complex(np.sum(self.amps * np.exp(2j * np.pi * (self.freqs @ np.asarray(x, dtype=float)))))
+        phases = self.freqs @ np.asarray(x, dtype=float)
+        return complex(np.sum(self.amps * np.exp(2j * np.pi * phases)))
+
+
+def _check_reach(reach: int) -> None:
+    """Frequencies are int64 with |k| < 2^63, so negating one cannot wrap;
+    a shear or a product whose largest |k| could reach 2^63 is refused,
+    since int64 arithmetic on arrays wraps without a warning."""
+    if reach >= 2**63:
+        raise ValueError("frequencies must be int64 with |k| < 2^63")
+
+
+def _reach(f: FourierPoly) -> int:
+    # The largest |k|, in Python: on the one-row polynomials of the
+    # seminorm recursion a numpy reduction costs three times as much.
+    return max(map(abs, f.freqs.ravel().tolist()), default=0)
 
 
 def _canonical(dim: int, freqs: np.ndarray, amps: np.ndarray) -> FourierPoly:
@@ -292,16 +306,19 @@ def apply_power(sys: SystemSpec, f, n: int):
     # phase k1 n alpha + k2 n(n-1)/2 alpha; a rotation frequency (k,) is
     # the k2 = 0 slice (k, 0).  Each phase is reduced mod 1 in Python ints
     # with alpha = num / den, as frac_mult does.  The shear keeps the
-    # k2-major order; a shifted k1 past int64 raises on assignment.
+    # k2-major order.
     tri = n * (n - 1) // 2
     num, den = sys.alpha.as_integer_ratio()
-    rows = f.planar().tolist()
+    k1s = f.freqs[:, 0].tolist()
+    k2s = f.freqs[:, 1].tolist() if f.dim == 2 else [0] * len(k1s)
     amps = [
         a * e(float(k1 * n * num % den) / den + (float(k2 * tri * num % den) / den if k2 else 0.0))
-        for (k1, k2), a in zip(rows, f.amps.tolist())
+        for k1, k2, a in zip(k1s, k2s, f.amps.tolist())
     ]
+    shifted = [k1 + n * k2 for k1, k2 in zip(k1s, k2s)]
+    _check_reach(max(map(abs, shifted), default=0))
     freqs = f.freqs.copy()
-    freqs[:, 0] = [k1 + n * k2 for k1, k2 in rows]
+    freqs[:, 0] = shifted
     return FourierPoly(f.dim, freqs, np.array(amps, dtype=complex))
 
 
@@ -326,9 +343,7 @@ def multiply(f, g, budget: int = TERM_BUDGET):
     needed = len(f.amps) * len(g.amps)
     if needed > budget:
         raise TermBudgetError(needed, budget)
-    if len(f.amps) == 1:
-        # a translation keeps the order, so nothing merges
-        return FourierPoly(f.dim, g.freqs + f.freqs[0], g.amps * f.amps[0])
+    _check_reach(_reach(f) + _reach(g))
     freqs = (f.freqs[:, None, :] + g.freqs[None, :, :]).reshape(needed, f.dim)
     return _canonical(f.dim, freqs, np.multiply.outer(f.amps, g.amps).ravel())
 

@@ -351,6 +351,19 @@ def test_equidist_iterates_beyond_int64_exit_one(tmp_path, capsys, c):
     assert err.startswith("error: iterate_values: ") and "at n = 1 is outside the int64 range" in err
 
 
+@pytest.mark.parametrize("system, freqs", [
+    ("rotation", [[2**62], [-(2**62)]]),  # f times conj(f) reaches 2^63
+    ("skew", [[0, 2**62]]),  # the shear n k2 passes 2^63 at n = 2
+])
+def test_seminorm_frequencies_beyond_int64_exit_one(tmp_path, capsys, system, freqs):
+    fn = write_functions(tmp_path / "fn.json", [{"kind": "fourier", "terms": [
+        {"freq": fq, "re": 0.5} for fq in freqs
+    ]}])
+    assert main(["seminorm", "--system", system, "--functions", fn,
+                 "--s", "2", "--N", "10", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: frequencies must be int64 with |k| < 2^63")
+
+
 def _null_exponent(tmp_path):
     path = tmp_path / "fam.json"
     data = family_to_json(Family((rexp_poly(0, {F(3, 2): 1}),)))

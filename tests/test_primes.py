@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from itertools import combinations
 
 import numpy as np
@@ -119,6 +121,10 @@ def test_cache_write_uses_a_temp_file_of_its_own(tmp_path):
     t = sieve(1000, cache_path=str(path))
     assert load_table(str(path)).primes.tolist() == t.primes.tolist()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.sieve", "p.sieve.tmp"]
+    # readable as widely as a file open() creates, not mkstemp's 0600
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
     # a failed write leaves no temp file behind
     with pytest.raises(OSError):
         save_table(t, str(tmp_path / "p.sieve.tmp"))

@@ -354,8 +354,24 @@ def test_fourier_arrays_match_dict_oracle(case, n, alpha):
 
 
 def test_fourier_make_refuses_frequencies_beyond_int64():
+    for fq in (2**63, -(2**63)):  # -(2^63) would negate to itself
+        with pytest.raises(ValueError, match="int64"):
+            FourierPoly.make(1, [((fq,), 1.0)])
+    f = FourierPoly.make(1, [((2**63 - 1,), 1.0), ((1 - 2**63,), 1.0)])
+    assert f.conjugate().freqs.ravel().tolist() == [1 - 2**63, 2**63 - 1]
+
+
+def test_fourier_sums_and_shears_refuse_to_wrap():
+    big = fourier_e(1, (2**62,))
     with pytest.raises(ValueError, match="int64"):
-        FourierPoly.make(1, [((2**63,), 1.0)])
+        multiply(big, big)
+    with pytest.raises(ValueError, match="int64"):
+        multiply(big.conjugate(), big.conjugate())
+    small = fourier_e(1, (2**62 - 1,))
+    assert multiply(small, small).terms == (((2**63 - 2,), 1 + 0j),)
+    with pytest.raises(ValueError, match="int64"):
+        apply_power(Skew(), fourier_e(2, (0, 2**62)), 2)
+    assert apply_power(Skew(), fourier_e(2, (0, 2**62)), 1).freqs.tolist() == [[2**62, 2**62]]
 
 
 def test_fourier_arrays_are_read_only():
