@@ -44,6 +44,7 @@ from .systems import (
     SystemSpec,
     _canonical,
     _check_observable,
+    _check_reach,
     describe,
     fourier_const,
     frac_multiples,
@@ -434,6 +435,12 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
     the sum before the next combination."""
     N = len(w)
     rows = [np.pad(f.freqs, ((0, 0), (0, 2 - f.dim))) for f in functions]
+    # |sum_i k1_i + k2_i j_i(n)| is bounded before int64 arithmetic forms it
+    reach = 0
+    for r, j in zip(rows, J):
+        jmax = max(-int(j.min(initial=0)), int(j.max(initial=0)))
+        reach += int(np.abs(r[:, 0]).max(initial=0)) + int(np.abs(r[:, 1]).max(initial=0)) * (1 + jmax)
+    _check_reach(reach)
     lin = [frac_multiples(sys.alpha, j.tolist()) for j in J]
     # Phases k * frac(j alpha) are off by at most |k| ulps.  Triangular
     # numbers overflow int64 for large iterates, so Python ints feed the

@@ -342,6 +342,15 @@ def test_multi_average_skew_matches_operator_loop():
         assert got[fq] == pytest.approx(a, abs=1e-10)
 
 
+def test_multi_average_refuses_frequencies_beyond_int64():
+    # k2 j(n) passes 2^63 for j(n) = floor(n^(3/2)) >= 2^13
+    big = FourierPoly.make(2, [((0, 2**50), 1.0)])
+    with pytest.raises(ValueError, match="int64"):
+        multi_average(Skew(), [spec(THREEHALF)], [big], Unweighted(), 3000)
+    out = multi_average(Skew(), [spec(THREEHALF)], [big], Unweighted(), 300)
+    assert out.average.freqs[:, 0].max() == 2**50 * iterate_value(spec(THREEHALF), 300)
+
+
 _AMPS = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
