@@ -6,7 +6,9 @@ Everything here is a finite computation reported as-is: exponential
 (Weyl) sums, multicorrelation averages with their L^2 distance to a
 product benchmark, recurrence profiles for sets of positive measure,
 and the prime-weighted experiment that ties norm decay of an average to
-a seminorm certificate for one of its observables.
+a seminorm certificate for one of its observables.  Averages and
+recurrence profiles share one n-average on Z/m, the rotation and the
+skew product, along any number of iterates.
 
 Floors of iterate values are taken exactly.  The fast path is a float
 evaluation; any value landing inside a guard band around an integer is
@@ -33,7 +35,7 @@ import mpmath
 import numpy as np
 
 from .fracpoly import Family, ParamPolynomial, RealExpPoly, family_to_json, is_nice
-from .primes import PrimeTable, cube, von_mangoldt_array
+from .primes import PrimeTable, von_mangoldt_cube
 from .systems import (
     TERM_BUDGET,
     Cyclic,
@@ -45,8 +47,8 @@ from .systems import (
     _canonical,
     _check_observable,
     _check_reach,
+    constant,
     describe,
-    fourier_const,
     frac_multiples,
     integrate,
     l2_distance,
@@ -173,24 +175,9 @@ def weight_values(weight: WeightSpec, N: int, table: Optional[PrimeTable] = None
         return np.tile(np.asarray(weight.values), reps)[:N]
     if table is None:
         raise ValueError("prime-based weights need a sieve table")
-    if isinstance(weight, VonMangoldt):
-        if table.limit < N:
-            raise ValueError(f"sieve covers {table.limit}, need {N}")
-        return von_mangoldt_array(table, N)[1 : N + 1]
-    # DeltaVonMangoldt: product of shifted copies over the cube of the
-    # shift tuple (with multiplicity: a repeated subset sum squares its
-    # factor).  An empty tuple degenerates to the plain weight.
-    offsets = sorted(cube(weight.shifts))
-    if offsets[0] < 0:
-        raise ValueError("cube weights need non-negative shift sums")
-    top = N + offsets[-1]
-    if table.limit < top:
-        raise ValueError(f"sieve covers {table.limit}, need {top}")
-    lam = von_mangoldt_array(table, top)
-    out = np.ones(N)
-    for off in offsets:
-        out *= lam[1 + off : N + 1 + off]
-    return out
+    # The plain weight is the cube product over no shifts.
+    shifts = weight.shifts if isinstance(weight, DeltaVonMangoldt) else ()
+    return von_mangoldt_cube(table, shifts, N)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +370,6 @@ def multi_average(
     weight: WeightSpec,
     N: int,
     table: Optional[PrimeTable] = None,
-    budget: int = TERM_BUDGET,
 ) -> MultiAverage:
     """(1/N) sum_n w(n) * prod_i T^{a_i(n)} f_i, exactly accumulated in
     the system's own representation, with its L^2 distance to the
@@ -400,17 +386,17 @@ def multi_average(
     w = weight_values(weight, N, table)
     J = _gather_iterates(iterates, N, table)
     bench = _product_benchmark(sys, functions, weight)
-    if isinstance(sys, Cyclic):
-        avg = _avg_cyclic(sys, J, functions, w)
-        const = CyclicFunction.make(sys.m, [bench] * sys.m)
-    else:
-        combos = math.prod(len(f.amps) for f in functions)
-        if combos > budget:
-            raise ValueError(f"product of observables has {combos} term combinations, budget {budget}")
-        avg = _avg_torus(sys, J, functions, w)
-        const = fourier_const(sys.dim, bench)
+    avg = _average(sys, J, functions, w)
     # The constant goes first, so its zero frequency leads the Parseval sum.
-    return MultiAverage(avg, l2_distance(const, avg), bench)
+    return MultiAverage(avg, l2_distance(constant(sys, bench), avg), bench)
+
+
+def _average(sys: SystemSpec, J, functions, w):
+    """(1/N) sum_n w(n) prod_i T^{J[i][n]} f_i in the system's own
+    representation."""
+    if isinstance(sys, Cyclic):
+        return _avg_cyclic(sys, J, functions, w)
+    return _avg_torus(sys, J, functions, w)
 
 
 def _avg_cyclic(sys: Cyclic, J, functions, w) -> CyclicFunction:
@@ -435,6 +421,12 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
     the sum before the next combination."""
     N = len(w)
     rows = [np.pad(f.freqs, ((0, 0), (0, 2 - f.dim))) for f in functions]
+    still = [np.flatnonzero(r[:, 1] == 0) for r in rows]
+    # Only the combinations with some k2 != 0 are enumerated one by one.
+    combos = math.prod(map(len, rows)) - math.prod(map(len, still))
+    if combos > TERM_BUDGET:
+        raise ValueError(f"product of observables has {combos} term combinations with some k2 != 0, "
+                         f"budget {TERM_BUDGET}")
     # |sum_i k1_i + k2_i j_i(n)| is bounded before int64 arithmetic forms it
     reach = 0
     for r, j in zip(rows, J):
@@ -449,7 +441,6 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
         frac_multiples(sys.alpha, [x * (x - 1) // 2 for x in j.tolist()]) if r[:, 1].any() else None
         for j, r in zip(J, rows)
     ]
-    still = [np.flatnonzero(r[:, 1] == 0) for r in rows]
     acc = FourierPoly.zero(2)
     if all(map(len, still)):
         ks = [r[t, 0] for r, t in zip(rows, still)]
@@ -534,22 +525,17 @@ def recurrence_profile(
 ) -> RecurrenceProfile:
     """mu(g and T^{-a_1(n)}g and ...) averaged over n <= N, for each N.
 
-    This is g paired with its multicorrelation average along the negated
-    iterates: pointwise on Z/m, coefficient by coefficient on the
-    rotation.  Cyclic systems take any number of iterates, the rotation
-    one or two.  The skew frame mixes
-    frequencies under iteration in a way this expansion does not cover,
-    so it is rejected here.
+    This is the integral of g times A, the multicorrelation average of g
+    along the negated iterates, on any system and for any number of
+    iterates.  For real g it is Re<A, g> = (|A + g|^2 - |A - g|^2) / 4,
+    taken from two L^2 distances; wherever A g = 0 both terms agree
+    exactly, so a profile that vanishes identically reads 0.0.
     """
     if not iterates:
         raise ValueError("need at least one iterate")
     N_list = [int(n) for n in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("average lengths must increase")
-    if isinstance(sys, Skew):
-        raise ValueError("recurrence profiles are not implemented on the skew system")
-    if isinstance(sys, Rotation) and len(iterates) > 2:
-        raise ValueError("rotation recurrence supports at most two iterates")
     _check_observable(sys, g)
     _require_real(sys, g)
     mu = integrate(sys, g)
@@ -558,17 +544,8 @@ def recurrence_profile(
     J = _gather_iterates(iterates, Nmax, table)
     series = []
     for N in N_list:
-        Jn = [j[:N] for j in J]
-        if isinstance(sys, Cyclic):
-            # the mean over x of g(x) * avg_n prod_i g(x - j_i(n))
-            avg = _avg_cyclic(sys, [-j for j in Jn], [g] * len(Jn), np.ones(N))
-            val = float(np.mean(g.as_array().real * avg.as_array().real))
-        else:
-            # the sum over k of g_k times coefficient -k of avg_n prod_i T^(-j_i(n)) g
-            avg = _avg_torus(sys, [-j for j in Jn], [g] * len(Jn), np.ones(N))
-            _, ig, ia = np.intersect1d(-g.freqs[:, 0], avg.freqs[:, 0], return_indices=True)
-            val = float(np.sum(g.amps[ig] * avg.amps[ia]).real)
-        series.append((N, val))
+        avg = _average(sys, [-j[:N] for j in J], [g] * len(J), np.ones(N))
+        series.append((N, (l2_distance(avg, g.scale(-1)) ** 2 - l2_distance(avg, g) ** 2) / 4))
     return RecurrenceProfile(tuple(series), bench)
 
 

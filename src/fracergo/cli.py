@@ -24,7 +24,7 @@ from typing import Optional
 from . import averages, fracpoly, primes, seminorms, systems
 from .fracpoly import json_field, json_list
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _int_list(text: str) -> list[int]:
@@ -113,14 +113,14 @@ def _build_function(desc: dict, sys_spec):
     """One observable from its JSON descriptor; a malformed field is a
     ValueError that names it."""
     kind = json_field(desc, "kind", str, "fourier")
+    if kind == "constant":
+        return systems.constant(sys_spec, _amplitude(desc, 1.0))
     if isinstance(sys_spec, systems.Cyclic):
         m = sys_spec.m
         if kind == "indicator":
             return systems.indicator(m, json_field(desc, "points", _integers))
         if kind == "cyclic":
             return systems.CyclicFunction.make(m, json_field(desc, "values", _complex_pairs))
-        if kind == "constant":
-            return systems.CyclicFunction.make(m, [_amplitude(desc, 1.0)] * m)
         raise ValueError(f"function kind {kind!r} does not fit a cyclic system")
     dim = sys_spec.dim
     if kind == "fourier":
@@ -132,8 +132,6 @@ def _build_function(desc: dict, sys_spec):
             raise ValueError("arc functions live on the rotation")
         beta = json_field(desc, "beta", _real)
         return systems.fejer_arc(beta, json_field(desc, "n_terms", operator.index, 40))
-    if kind == "constant":
-        return systems.fourier_const(dim, _amplitude(desc, 1.0))
     raise ValueError(f"function kind {kind!r} does not fit this system")
 
 

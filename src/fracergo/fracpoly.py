@@ -519,7 +519,6 @@ def choose_a(fam: Family) -> int:
 
 @dataclass(frozen=True)
 class PetStep:
-    family_before: Family
     anchor_index: int
     family_after: Family
     type_before: TypeVector
@@ -528,6 +527,7 @@ class PetStep:
 
 @dataclass(frozen=True)
 class PetTrace:
+    initial: Family
     steps: tuple[PetStep, ...]
     final: Family
 
@@ -550,6 +550,7 @@ def pet_reduce(fam: Family, max_steps: int = 64) -> PetTrace:
         raise ValueError("pet_reduce requires a fractional family")
     steps: list[PetStep] = []
     current = fam
+    t_pre = type_vector(fam)
     while current.max_fractional_degree() >= 1:
         if len(steps) >= max_steps:
             raise PetError(f"no termination within {max_steps} steps")
@@ -559,13 +560,13 @@ def pet_reduce(fam: Family, max_steps: int = 64) -> PetTrace:
             raise PetError("intermediate family is not fractional")
         idx = choose_a(current)
         after = vdc_op(current, idx)
-        t_pre = type_vector(current)
         t_post = type_vector(after)
         if not type_lt(t_post, t_pre):
             raise PetError(f"type did not decrease: {t_pre} -> {t_post}")
-        steps.append(PetStep(current, idx, after, t_pre, t_post))
+        steps.append(PetStep(idx, after, t_pre, t_post))
         current = after
-    return PetTrace(tuple(steps), current)
+        t_pre = t_post
+    return PetTrace(fam, tuple(steps), current)
 
 
 # ---------------------------------------------------------------------------
@@ -634,10 +635,12 @@ def family_from_json(data: dict) -> Family:
 
 
 def trace_to_json(trace: PetTrace) -> dict:
+    """Each family once: the input, then the family after each step (the
+    last one is the final family)."""
     return {
+        "initial": family_to_json(trace.initial),
         "steps": [
             {
-                "family_before": family_to_json(s.family_before),
                 "anchor_index": s.anchor_index,
                 "family_after": family_to_json(s.family_after),
                 "type_before": list(s.type_before.as_tuple()),
@@ -645,7 +648,6 @@ def trace_to_json(trace: PetTrace) -> dict:
             }
             for s in trace.steps
         ],
-        "final": family_to_json(trace.final),
     }
 
 

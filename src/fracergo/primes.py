@@ -26,6 +26,7 @@ __all__ = [
     "load_table",
     "von_mangoldt_prime",
     "delta_von_mangoldt",
+    "von_mangoldt_cube",
     "cube",
     "is_star",
     "count_prime_tuples",
@@ -194,6 +195,22 @@ def von_mangoldt_array(table: PrimeTable, upto: int) -> np.ndarray:
     out = np.zeros(upto + 1)
     ps = table.primes[table.primes <= upto]
     out[ps] = np.log(ps.astype(np.float64))
+    return out
+
+
+def von_mangoldt_cube(table: PrimeTable, shifts: Sequence[int], N: int) -> np.ndarray:
+    """The product of Lambda(n + s) over s in cube(shifts), for n = 1, ..., N.
+
+    Factors are taken in increasing s, a repeated subset sum squaring
+    its factor; the empty tuple gives Lambda itself (cube(()) = (0,)).
+    """
+    offsets = sorted(cube(shifts))
+    if offsets[0] < 0:
+        raise ValueError("cube offsets must be non-negative")
+    lam = von_mangoldt_array(table, N + offsets[-1])
+    out = np.ones(N)
+    for s in offsets:
+        out *= lam[1 + s : N + 1 + s]
     return out
 
 
@@ -439,14 +456,4 @@ def check_cor_primes(
         raise ValueError(f"{tuple(shifts)} is not a star tuple")
     if c < 0:
         raise ValueError("c must be non-negative")
-    offsets = cube(shifts)
-    if min(offsets) < 0:
-        raise ValueError("cube offsets must be non-negative")
-    top = N + c + max(offsets)
-    if top > table.limit:
-        raise ValueError(f"table covers up to {table.limit}, need {top}")
-    lam = von_mangoldt_array(table, top)
-    prod = np.ones(N)
-    for s in offsets:
-        prod *= lam[1 + c + s : N + 1 + c + s]
-    return float(np.mean(prod))
+    return float(np.mean(von_mangoldt_cube(table, shifts, N + c)[c:]))

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .systems import (
-    TERM_BUDGET,
     CyclicFunction,
     FourierPoly,
     SystemSpec,
@@ -86,7 +85,6 @@ def hk_seminorm_estimate(
     f,
     s: int,
     N_schedule: Optional[Sequence[int]] = None,
-    budget: int = TERM_BUDGET,
 ) -> SeminormEstimate:
     """Finite-truncation seminorm estimate of degree s on any system.
 
@@ -105,20 +103,20 @@ def hk_seminorm_estimate(
         raise ValueError(f"degree {s} needs {s - 1} truncation lengths, got {len(schedule)}")
     if any(n < 1 for n in schedule):
         raise ValueError("truncation lengths must be positive")
-    raw = _hk_pow(sys, f, s, schedule, budget)
+    raw = _hk_pow(sys, f, s, schedule)
     value = max(raw, 0.0) ** (1.0 / 2**s)
     return SeminormEstimate(s, value, schedule)
 
 
-def _hk_pow(sys: SystemSpec, f, s: int, schedule: tuple[int, ...], budget: int) -> float:
+def _hk_pow(sys: SystemSpec, f, s: int, schedule: tuple[int, ...]) -> float:
     if s == 1:
         return abs(integrate(sys, f)) ** 2
     N = schedule[0]
     fbar = f.conjugate()
     total = 0.0
     for n in range(N):
-        g = multiply(fbar, apply_power(sys, f, n), budget)
-        total += _hk_pow(sys, g, s - 1, schedule[1:], budget)
+        g = multiply(fbar, apply_power(sys, f, n))
+        total += _hk_pow(sys, g, s - 1, schedule[1:])
     return total / N
 
 

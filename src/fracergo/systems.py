@@ -43,6 +43,7 @@ __all__ = [
     "CyclicFunction",
     "fourier_e",
     "fourier_const",
+    "constant",
     "indicator",
     "fejer_arc",
     "frac_mult",
@@ -245,6 +246,9 @@ class CyclicFunction:
     def conjugate(self) -> "CyclicFunction":
         return CyclicFunction(self.m, tuple(v.conjugate() for v in self.values))
 
+    def scale(self, c: complex) -> "CyclicFunction":
+        return CyclicFunction(self.m, tuple(v * c for v in self.values))
+
 
 def fourier_e(dim: int, freq: Sequence[int]) -> FourierPoly:
     """The single character with the given frequency."""
@@ -253,6 +257,13 @@ def fourier_e(dim: int, freq: Sequence[int]) -> FourierPoly:
 
 def fourier_const(dim: int, c: complex) -> FourierPoly:
     return FourierPoly.make(dim, [((0,) * dim, c)])
+
+
+def constant(sys: SystemSpec, c: complex):
+    """The constant observable c on the system."""
+    if isinstance(sys, Cyclic):
+        return CyclicFunction.make(sys.m, [c] * sys.m)
+    return fourier_const(sys.dim, c)
 
 
 def indicator(m: int, points: Iterable[int]) -> CyclicFunction:
@@ -331,9 +342,9 @@ def integrate(sys: SystemSpec, f) -> complex:
     return f.amplitude((0,) * f.dim)
 
 
-def multiply(f, g, budget: int = TERM_BUDGET):
+def multiply(f, g):
     """Pointwise product; on Fourier polynomials this is frequency
-    convolution and refuses (loudly) to exceed the term budget."""
+    convolution and refuses (loudly) to exceed TERM_BUDGET terms."""
     if isinstance(f, CyclicFunction):
         if not isinstance(g, CyclicFunction) or g.m != f.m:
             raise ValueError("modulus mismatch")
@@ -341,8 +352,8 @@ def multiply(f, g, budget: int = TERM_BUDGET):
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
     needed = len(f.amps) * len(g.amps)
-    if needed > budget:
-        raise TermBudgetError(needed, budget)
+    if needed > TERM_BUDGET:
+        raise TermBudgetError(needed, TERM_BUDGET)
     _check_reach(_reach(f) + _reach(g))
     freqs = (f.freqs[:, None, :] + g.freqs[None, :, :]).reshape(needed, f.dim)
     return _canonical(f.dim, freqs, np.multiply.outer(f.amps, g.amps).ravel())

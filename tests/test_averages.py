@@ -458,6 +458,18 @@ def test_multi_average_across_chunk_boundaries(sys, count, table):
         assert abs(a - want[fq[0]]) < 1e-10
 
 
+def test_term_budget_counts_only_enumerated_combinations():
+    # 81^3 combinations of three rotation arcs, all contracted: no budget applies.
+    arcs = [fejer_arc(b, 40) for b in (0.2, 0.3, 0.4)]
+    iterates = [spec(e) for e in (SQRT, THREEHALF, MIXED)]
+    out = multi_average(Rotation(), iterates, arcs, Unweighted(), 20)
+    assert l2_distance(out.average, _operator_loop_average(Rotation(), iterates, arcs, 20)) < 1e-10
+    # 47^3 > TERM_BUDGET combinations with k2 != 0 on the skew product.
+    f = FourierPoly.make(2, [((k, 1), 1.0) for k in range(47)])
+    with pytest.raises(ValueError, match="budget"):
+        multi_average(Skew(), iterates, [f] * 3, Unweighted(), 20)
+
+
 def test_multi_average_cube_weight_benchmark_is_zero(table):
     sys = Cyclic(4)
     out = multi_average(
@@ -575,6 +587,60 @@ def test_recurrence_rotation_matches_brute_force(sys, g, exps, N_list):
         assert val == pytest.approx(total / N, abs=1e-10)
 
 
+@st.composite
+def real_torus_recurrence_case(draw):
+    """A real observable (a_(-k) = conj(a_k)) on the skew product with one
+    to three iterates, or on the rotation with three."""
+    sys = draw(st.sampled_from([Skew(), Skew(0.3), Rotation()]))
+    k2 = st.integers(0, 1) if sys.dim == 2 else st.just(0)
+    upper = st.tuples(st.integers(-2, 2), k2).filter(lambda k: k[1] > 0 or k[0] > 0)
+    amps = {(0, 0): complex(draw(st.floats(-1.0, 1.0)))}
+    for k1, k2 in draw(st.sets(upper, max_size=3)):
+        a = draw(_AMPS)
+        amps[k1, k2], amps[-k1, -k2] = a, a.conjugate()
+    g = FourierPoly.make(sys.dim, [(k[: sys.dim], a) for k, a in amps.items()])
+    count = draw(st.integers(1, 3)) if sys.dim == 2 else 3
+    iterates = draw(st.lists(st.sampled_from([SQRT, THREEHALF, MIXED]), min_size=count, max_size=count))
+    N_list = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted))
+    return sys, g, [spec(e) for e in iterates], N_list
+
+
+@given(real_torus_recurrence_case())
+@settings(max_examples=40, deadline=None)
+def test_recurrence_torus_matches_brute_force(case):
+    sys, g, iterates, N_list = case
+    out = recurrence_profile(sys, g, iterates, N_list)
+    corr = []
+    for n in range(1, N_list[-1] + 1):
+        prod = g
+        for it in iterates:
+            prod = multiply(prod, apply_power(sys, g, -iterate_value(it, n)))
+        corr.append(integrate(sys, prod).real)
+    assert [N for N, _ in out.series] == N_list
+    for N, val in out.series:
+        assert val == pytest.approx(sum(corr[:N]) / N, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_recurrence_contrast_integer_and_fractional_exponents(m, table):
+    """The abstract's contrast on Z/m, g the indicator of 0, along primes.
+
+    With exponents (1, 3/2) or (2, 3/2) the profile is exactly 0: p^a = 0
+    mod m only for p | m (p = 3 on Z/3, p = 2 on Z/4), and there
+    floor(p^(3/2)) (5, or 2) misses the class of 0.  With (3/2, 5/2) it is
+    positive."""
+    g = indicator(m, [0])
+    N_list = [10, 100, 1000, 10_000]
+    for exps in [({1: 1}, THREEHALF), ({2: 1}, THREEHALF)]:
+        out = recurrence_profile(Cyclic(m), g, [spec(e, "primes") for e in exps], N_list, table)
+        assert [v for _, v in out.series] == [0.0] * 4
+    out = recurrence_profile(Cyclic(m), g, [spec(e, "primes") for e in (THREEHALF, {F(5, 2): 1})], N_list, table)
+    assert all(v > 0 for _, v in out.series)
+    # An observation at N = 10^4, not a bound: 0.03723 against mu^3 = 1/27
+    # on Z/3, 0.01495 against 1/64 on Z/4.
+    assert out.series[-1][1] == pytest.approx(out.benchmark, rel=0.1)
+
+
 def test_recurrence_constant_function_is_flat():
     out = recurrence_profile(Cyclic(3), CyclicFunction.make(3, [1, 1, 1]), [spec(SQRT)], [10, 20])
     assert all(v == pytest.approx(1.0) for _, v in out.series)
@@ -589,8 +655,6 @@ def test_recurrence_validation():
         recurrence_profile(Rotation(), fourier_e(1, (1,)), [spec(SQRT)], [10])
     with pytest.raises(ValueError):
         recurrence_profile(Rotation(), g, [spec(SQRT)], [20, 10])
-    with pytest.raises(ValueError):
-        recurrence_profile(Rotation(), g, [spec(SQRT)] * 3, [10])
     with pytest.raises(ValueError):
         recurrence_profile(Rotation(), g, [], [10])
     with pytest.raises(ValueError):

@@ -43,7 +43,7 @@ def test_pet_trace_outputs(tmp_path, capsys):
     assert header == "N,value"
     assert rows == [["0", "1"], ["1", "1"]]
     side = read_sidecar(tmp_path, "pet")
-    assert side["schema_version"] == 1
+    assert side["schema_version"] == 2
     assert side["checks"] == [{"name": "type_descent", "passed": True}]
     assert len(side["metadata"]["trace"]["steps"]) == 1
 

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from fracergo import systems
 from fracergo.seminorms import (
     DEFAULT_SCHEDULES,
     SeminormEstimate,
@@ -152,10 +153,11 @@ def test_estimate_validation():
         SeminormEstimate(2, -0.5, (10,))
 
 
-def test_term_budget_propagates():
+def test_term_budget_propagates(monkeypatch):
     f = fourier_e(2, (0, 1)) + fourier_e(2, (1, 0)) + fourier_e(2, (1, 1))
+    monkeypatch.setattr(systems, "TERM_BUDGET", 4)
     with pytest.raises(TermBudgetError):
-        hk_seminorm_estimate(Skew(), f, 2, (20,), budget=4)
+        hk_seminorm_estimate(Skew(), f, 2, (20,))
 
 
 def test_fourier_seminorm_validation():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracergo import systems
 from fracergo.systems import (
     ALPHA_DEFAULT,
     Cyclic,
@@ -236,11 +237,13 @@ def test_multiply_cyclic_pointwise():
         multiply(f, CyclicFunction.make(4, [1, 0, 0, 0]))
 
 
-def test_multiply_respects_term_budget():
+def test_multiply_respects_term_budget(monkeypatch):
     f = fourier_e(1, (1,)) + fourier_e(1, (2,))
+    monkeypatch.setattr(systems, "TERM_BUDGET", 3)
     with pytest.raises(TermBudgetError):
-        multiply(f, f, budget=3)
-    assert len(multiply(f, f, budget=4).terms) == 3
+        multiply(f, f)
+    monkeypatch.setattr(systems, "TERM_BUDGET", 4)
+    assert len(multiply(f, f).terms) == 3
 
 
 def test_l2_norm_parseval():
