@@ -44,6 +44,7 @@ from .systems import (
     Rotation,
     Skew,
     SystemSpec,
+    TermBudgetError,
     _canonical,
     _check_observable,
     _check_reach,
@@ -232,10 +233,10 @@ def _floor_exact(poly: RealExpPoly, x: int) -> int:
                 break
         else:
             groups[exp] = c
-    leftover = {g: ParamPolynomial.constant(0, c) for g, c in groups.items() if c != 0}
+    leftover = [(g, ParamPolynomial.constant(0, c)) for g, c in groups.items() if c != 0]
     if not leftover:
         return math.floor(exact)
-    leftover[Fraction(0)] = ParamPolynomial.constant(0, exact)
+    leftover.append((0, ParamPolynomial.constant(0, exact)))
     with mpmath.workdps(90):
         return int(mpmath.floor(RealExpPoly.make(0, leftover).eval_mpf((), x, prec=90)))
 
@@ -425,8 +426,7 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
     # Only the combinations with some k2 != 0 are enumerated one by one.
     combos = math.prod(map(len, rows)) - math.prod(map(len, still))
     if combos > TERM_BUDGET:
-        raise ValueError(f"product of observables has {combos} term combinations with some k2 != 0, "
-                         f"budget {TERM_BUDGET}")
+        raise TermBudgetError(combos, TERM_BUDGET, "product of observables (term combinations with some k2 != 0)")
     # |sum_i k1_i + k2_i j_i(n)| is bounded before int64 arithmetic forms it
     reach = 0
     for r, j in zip(rows, J):

@@ -177,7 +177,7 @@ def _write_csv(path: str, rows: list[tuple]) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
 
 
@@ -510,7 +510,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, MemoryError, fracpoly.PetError,
-            systems.TermBudgetError, averages.InvariantViolation) as exc:
+            averages.InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

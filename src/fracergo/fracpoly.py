@@ -68,6 +68,15 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _merged(pairs, zero, reverse: bool = False) -> tuple:
+    """The canonical tuple of (key, value) pairs: repeated keys summed,
+    values equal to ``zero`` dropped, keys sorted."""
+    acc: dict = {}
+    for key, value in pairs:
+        acc[key] = acc[key] + value if key in acc else value
+    return tuple(sorted(((key, v) for key, v in acc.items() if v != zero), reverse=reverse))
+
+
 def _join_signed(parts: list[str]) -> str:
     return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
 
@@ -85,19 +94,18 @@ class ParamPolynomial:
     monomials: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     @staticmethod
-    def make(k: int, entries: Mapping[tuple[int, ...], RationalLike]) -> "ParamPolynomial":
-        canon: dict[tuple[int, ...], Fraction] = {}
-        for powers, c in entries.items():
+    def make(k: int, entries) -> "ParamPolynomial":
+        """From (power vector, coefficient) pairs or a {power vector:
+        coefficient} mapping; repeated power vectors are summed."""
+        checked = []
+        for powers, c in entries.items() if isinstance(entries, Mapping) else entries:
             powers = tuple(int(p) for p in powers)
             if len(powers) != k:
                 raise ValueError(f"power vector {powers} does not have {k} entries")
             if any(p < 0 for p in powers):
                 raise ValueError(f"negative parameter power in {powers}")
-            c = _as_fraction(c)
-            if c != 0:
-                canon[powers] = canon.get(powers, Fraction(0)) + c
-        items = tuple(sorted((p, c) for p, c in canon.items() if c != 0))
-        return ParamPolynomial(k, items)
+            checked.append((powers, _as_fraction(c)))
+        return ParamPolynomial(k, _merged(checked, 0))
 
     @staticmethod
     def zero(k: int) -> "ParamPolynomial":
@@ -105,7 +113,7 @@ class ParamPolynomial:
 
     @staticmethod
     def constant(k: int, c: RationalLike) -> "ParamPolynomial":
-        return ParamPolynomial.make(k, {(0,) * k: c})
+        return ParamPolynomial.make(k, [((0,) * k, c)])
 
     def is_zero(self) -> bool:
         return not self.monomials
@@ -113,10 +121,7 @@ class ParamPolynomial:
     def __add__(self, other: "ParamPolynomial") -> "ParamPolynomial":
         if self.k != other.k:
             raise ValueError("parameter-count mismatch")
-        merged = dict(self.monomials)
-        for powers, c in other.monomials:
-            merged[powers] = merged.get(powers, Fraction(0)) + c
-        return ParamPolynomial.make(self.k, merged)
+        return ParamPolynomial(self.k, _merged(self.monomials + other.monomials, 0))
 
     def __neg__(self) -> "ParamPolynomial":
         return ParamPolynomial(self.k, tuple((p, -c) for p, c in self.monomials))
@@ -130,19 +135,9 @@ class ParamPolynomial:
             return ParamPolynomial.zero(self.k)
         return ParamPolynomial(self.k, tuple((p, c * coeff) for p, coeff in self.monomials))
 
-    def widen(self, extra: int = 1) -> "ParamPolynomial":
-        """Reinterpret over k+extra parameters (new ones unused)."""
-        pad = (0,) * extra
-        return ParamPolynomial(self.k + extra, tuple((p + pad, c) for p, c in self.monomials))
-
-    def times_last_param_power(self, j: int) -> "ParamPolynomial":
-        """Multiply by (last parameter)^j."""
-        if j == 0:
-            return self
-        items = []
-        for powers, c in self.monomials:
-            items.append((powers[:-1] + (powers[-1] + j,), c))
-        return ParamPolynomial(self.k, tuple(items))
+    def widen(self) -> "ParamPolynomial":
+        """Reinterpret over k+1 parameters (the new last one unused)."""
+        return ParamPolynomial(self.k + 1, tuple((p + (0,), c) for p, c in self.monomials))
 
     def evaluate(self, h: Sequence[int]) -> Fraction:
         if len(h) != self.k:
@@ -190,19 +185,18 @@ class RealExpPoly:
     terms: tuple[tuple[Fraction, ParamPolynomial], ...]
 
     @staticmethod
-    def make(k: int, entries: Mapping[RationalLike, ParamPolynomial]) -> "RealExpPoly":
-        canon: dict[Fraction, ParamPolynomial] = {}
-        for exp, coeff in entries.items():
+    def make(k: int, entries) -> "RealExpPoly":
+        """From (exponent, coefficient) pairs or an {exponent: coefficient}
+        mapping; repeated exponents are summed."""
+        checked = []
+        for exp, coeff in entries.items() if isinstance(entries, Mapping) else entries:
             exp = _as_fraction(exp)
             if exp < 0:
                 raise ValueError(f"negative exponent {exp}")
             if coeff.k != k:
                 raise ValueError("coefficient parameter-count mismatch")
-            canon[exp] = canon[exp] + coeff if exp in canon else coeff
-        items = tuple(
-            sorted(((e, c) for e, c in canon.items() if not c.is_zero()), reverse=True)
-        )
-        return RealExpPoly(k, items)
+            checked.append((exp, coeff))
+        return RealExpPoly(k, _merged(checked, ParamPolynomial.zero(k), reverse=True))
 
     @staticmethod
     def zero(k: int) -> "RealExpPoly":
@@ -240,10 +234,7 @@ class RealExpPoly:
     def __add__(self, other: "RealExpPoly") -> "RealExpPoly":
         if self.k != other.k:
             raise ValueError("parameter-count mismatch")
-        merged: dict[Fraction, ParamPolynomial] = dict(self.terms)
-        for exp, coeff in other.terms:
-            merged[exp] = merged[exp] + coeff if exp in merged else coeff
-        return RealExpPoly.make(self.k, merged)
+        return RealExpPoly(self.k, _merged(self.terms + other.terms, ParamPolynomial.zero(self.k), reverse=True))
 
     def __neg__(self) -> "RealExpPoly":
         return RealExpPoly(self.k, tuple((e, -c) for e, c in self.terms))
@@ -251,8 +242,8 @@ class RealExpPoly:
     def __sub__(self, other: "RealExpPoly") -> "RealExpPoly":
         return self + (-other)
 
-    def widen(self, extra: int = 1) -> "RealExpPoly":
-        return RealExpPoly(self.k + extra, tuple((e, c.widen(extra)) for e, c in self.terms))
+    def widen(self) -> "RealExpPoly":
+        return RealExpPoly(self.k + 1, tuple((e, c.widen()) for e, c in self.terms))
 
     def eval(self, h: Sequence[int], t):
         """Numeric value at integer parameters h and real t > 0, or at
@@ -343,15 +334,14 @@ def rexp_poly(k: int, terms: Mapping[RationalLike, object]) -> RealExpPoly:
     """Build a RealExpPoly from {exponent: coefficient} where the
     coefficient may be a rational (meaning a constant), a power-vector
     mapping, or a ready ParamPolynomial."""
-    canon: dict[RationalLike, ParamPolynomial] = {}
-    for exp, coeff in terms.items():
-        if isinstance(coeff, ParamPolynomial):
-            canon[exp] = coeff
-        elif isinstance(coeff, Mapping):
-            canon[exp] = ParamPolynomial.make(k, coeff)
-        else:
-            canon[exp] = ParamPolynomial.constant(k, coeff)
-    return RealExpPoly.make(k, canon)
+    def coefficient(c) -> ParamPolynomial:
+        if isinstance(c, ParamPolynomial):
+            return c
+        if isinstance(c, Mapping):
+            return ParamPolynomial.make(k, c)
+        return ParamPolynomial.constant(k, c)
+
+    return RealExpPoly.make(k, [(exp, coefficient(c)) for exp, c in terms.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -395,29 +385,19 @@ def taylor_shift(f: RealExpPoly) -> RealExpPoly:
     """Expansion of f(h, t + h_new) through order deg(f) in a new last
     parameter, with the negligible remainder dropped.
 
-    The j-th derivative of t^e contributes e(e-1)...(e-j+1) t^(e-j), so
-    all new coefficients stay rational.  Terms whose exponent would go
-    negative belong to the remainder and are excluded.
+    A term c t^e contributes binom(e, j) c h_new^j t^(e-j), so all new
+    coefficients stay rational.  Terms whose exponent would go negative
+    belong to the remainder and are excluded.
     """
-    d = max(f.degree(), 0)
     k1 = f.k + 1
-    out: dict[Fraction, ParamPolynomial] = {}
-    inv_fact = Fraction(1)
-    for j in range(d + 1):
-        if j > 0:
-            inv_fact /= j
-        for exp, coeff in f.terms:
-            if exp - j < 0:
-                continue
-            fall = Fraction(1)
-            for i in range(j):
-                fall *= exp - i
-            if fall == 0:
-                continue
-            c = coeff.widen().times_last_param_power(j).scale(fall * inv_fact)
-            key = exp - j
-            out[key] = out[key] + c if key in out else c
-    return RealExpPoly.make(k1, out)
+    pairs = []
+    for exp, coeff in f.terms:
+        binom = Fraction(1)  # binom(exp, j)
+        for j in range(math.floor(exp) + 1):
+            shifted = tuple((p + (j,), binom * c) for p, c in coeff.monomials)
+            pairs.append((exp - j, ParamPolynomial(k1, shifted)))
+            binom = binom * (exp - j) / (j + 1)
+    return RealExpPoly(k1, _merged(pairs, ParamPolynomial.zero(k1), reverse=True))
 
 
 def vdc_op(fam: Family, index: int) -> Family:
@@ -622,14 +602,14 @@ def family_from_json(data: dict) -> Family:
     k = json_field(data, "k", operator.index)
     functions = []
     for fn in json_field(data, "functions", json_list):
-        entries: dict[Fraction, ParamPolynomial] = {}
+        entries = []
         for term in json_field(fn, "terms", json_list):
             exp = json_field(term, "exponent", _as_fraction)
-            coeff = ParamPolynomial.make(k, {
-                json_field(m, "powers", _powers): json_field(m, "c", _as_fraction)
+            coeff = ParamPolynomial.make(k, [
+                (json_field(m, "powers", _powers), json_field(m, "c", _as_fraction))
                 for m in json_field(term, "coeff", json_list)
-            })
-            entries[exp] = entries[exp] + coeff if exp in entries else coeff
+            ])
+            entries.append((exp, coeff))
         functions.append(RealExpPoly.make(k, entries))
     return Family(tuple(functions))
 

@@ -61,9 +61,11 @@ ALPHA_DEFAULT = math.sqrt(2.0) - 1.0
 TERM_BUDGET = 100_000
 
 
-class TermBudgetError(RuntimeError):
-    def __init__(self, needed: int, budget: int):
-        super().__init__(f"product needs {needed} terms, budget is {budget}")
+class TermBudgetError(ValueError):
+    """A Fourier product, or a torus average's term combinations, past the budget."""
+
+    def __init__(self, needed: int, budget: int, what: str = "product"):
+        super().__init__(f"{what} needs {needed} terms, budget is {budget}")
         self.needed = needed
         self.budget = budget
 

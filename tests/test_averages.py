@@ -36,6 +36,7 @@ from fracergo.systems import (
     FourierPoly,
     Rotation,
     Skew,
+    TermBudgetError,
     apply_power,
     fejer_arc,
     fourier_const,
@@ -468,6 +469,14 @@ def test_term_budget_counts_only_enumerated_combinations():
     f = FourierPoly.make(2, [((k, 1), 1.0) for k in range(47)])
     with pytest.raises(ValueError, match="budget"):
         multi_average(Skew(), iterates, [f] * 3, Unweighted(), 20)
+
+
+def test_over_budget_average_raises_term_budget_error():
+    # The same over-budget product as a Fourier multiply: one error type.
+    f = FourierPoly.make(2, [((k, 1), 1.0) for k in range(47)])
+    with pytest.raises(TermBudgetError) as exc:
+        multi_average(Skew(), [spec(SQRT)] * 3, [f] * 3, Unweighted(), 5)
+    assert exc.value.needed == 47**3
 
 
 def test_multi_average_cube_weight_benchmark_is_zero(table):

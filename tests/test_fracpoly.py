@@ -286,6 +286,22 @@ def test_family_json_roundtrip():
     assert back == fam
 
 
+def test_family_from_json_sums_repeated_entries():
+    # Two entries for the power vector () and a second t^(3/2) term.
+    data = {
+        "k": 0,
+        "functions": [
+            {
+                "terms": [
+                    {"exponent": "3/2", "coeff": [{"c": "1", "powers": []}, {"c": "2", "powers": []}]},
+                    {"exponent": "3/2", "coeff": [{"c": "5", "powers": []}]},
+                ]
+            }
+        ],
+    }
+    assert family_from_json(data)[0] == rexp_poly(0, {F(3, 2): 8})
+
+
 def test_load_family(tmp_path):
     fam = Family((rexp_poly(0, {F(3, 2): 1}),))
     path = tmp_path / "fam.json"
@@ -378,3 +394,43 @@ def test_eval_on_an_array_is_the_scalar_eval_per_entry(terms, ts):
         size = sum(abs(float(c)) * t ** float(e) for e, c in terms.items())
         assert v == pytest.approx(f.eval((), t), rel=0, abs=4 * np.finfo(float).eps * size)
 
+
+
+def _param_polys(k: int):
+    # Few power vectors and small coefficients, so repeats and cancellations are common.
+    powers = st.tuples(*[st.integers(min_value=0, max_value=2)] * k)
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    return st.lists(st.tuples(powers, coeffs), max_size=4).map(lambda pairs: ParamPolynomial.make(k, pairs))
+
+
+def _rexp_polys(k: int):
+    exps = st.fractions(min_value=0, max_value=3, max_denominator=3)
+    return st.lists(st.tuples(exps, _param_polys(k)), max_size=4).map(lambda pairs: RealExpPoly.make(k, pairs))
+
+
+def _assert_canonical(x):
+    if isinstance(x, ParamPolynomial):
+        keys = [p for p, _ in x.monomials]
+        assert all(c != 0 for _, c in x.monomials)
+        assert keys == sorted(set(keys))
+        assert all(len(p) == x.k for p in keys)
+    else:
+        keys = [e for e, _ in x.terms]
+        assert keys == sorted(set(keys), reverse=True)
+        for _, c in x.terms:
+            assert not c.is_zero() and c.k == x.k
+            _assert_canonical(c)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2), st.data())
+def test_arithmetic_is_make_of_the_concatenated_pairs(k, data):
+    p, q = data.draw(_param_polys(k)), data.draw(_param_polys(k))
+    f, g = data.draw(_rexp_polys(k)), data.draw(_rexp_polys(k))
+    assert p + q == ParamPolynomial.make(k, p.monomials + q.monomials)
+    assert p - q == ParamPolynomial.make(k, p.monomials + (-q).monomials)
+    assert f + g == RealExpPoly.make(k, f.terms + g.terms)
+    assert f - g == RealExpPoly.make(k, f.terms + (-g).terms)
+    assert (p - p).is_zero() and (f - f).is_zero()
+    for x in (p, q, p + q, p - q, f, g, f + g, f - g, taylor_shift(f), taylor_shift(f) - g.widen()):
+        _assert_canonical(x)
