@@ -426,7 +426,7 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
     # Only the combinations with some k2 != 0 are enumerated one by one.
     combos = math.prod(map(len, rows)) - math.prod(map(len, still))
     if combos > TERM_BUDGET:
-        raise TermBudgetError(combos, TERM_BUDGET, "product of observables (term combinations with some k2 != 0)")
+        raise TermBudgetError(combos, TERM_BUDGET)
     # |sum_i k1_i + k2_i j_i(n)| is bounded before int64 arithmetic forms it
     reach = 0
     for r, j in zip(rows, J):

@@ -234,7 +234,8 @@ class RealExpPoly:
     def __add__(self, other: "RealExpPoly") -> "RealExpPoly":
         if self.k != other.k:
             raise ValueError("parameter-count mismatch")
-        return RealExpPoly(self.k, _merged(self.terms + other.terms, ParamPolynomial.zero(self.k), reverse=True))
+        merged = _merged(self.terms + other.terms, ParamPolynomial.zero(self.k), reverse=True)
+        return RealExpPoly(self.k, merged)
 
     def __neg__(self) -> "RealExpPoly":
         return RealExpPoly(self.k, tuple((e, -c) for e, c in self.terms))

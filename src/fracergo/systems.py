@@ -62,10 +62,11 @@ TERM_BUDGET = 100_000
 
 
 class TermBudgetError(ValueError):
-    """A Fourier product, or a torus average's term combinations, past the budget."""
+    """A Fourier product, or the enumerated term combinations of a torus
+    average, past the budget."""
 
-    def __init__(self, needed: int, budget: int, what: str = "product"):
-        super().__init__(f"{what} needs {needed} terms, budget is {budget}")
+    def __init__(self, needed: int, budget: int):
+        super().__init__(f"product needs {needed} terms, budget is {budget}")
         self.needed = needed
         self.budget = budget
 
