@@ -31,21 +31,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import mpmath
 import numpy as np
 
 from .fracpoly import Family, ParamPolynomial, RealExpPoly, family_to_json, is_nice
 from .primes import PrimeTable, von_mangoldt_cube
 from .systems import (
-    TERM_BUDGET,
     Cyclic,
     CyclicFunction,
     FourierPoly,
     Rotation,
     Skew,
     SystemSpec,
-    TermBudgetError,
     _canonical,
+    _check_budget,
     _check_observable,
     _check_reach,
     constant,
@@ -220,7 +218,7 @@ def _floor_exact(poly: RealExpPoly, x: int) -> int:
     """
     exact = Fraction(0)
     groups: dict[Fraction, Fraction] = {}  # x^g with g the largest exponent of its group
-    for exp, coeff in poly.terms:
+    for exp, coeff in poly.exponent_terms():
         c = coeff.evaluate(())
         r = _exact_power(x, exp)
         if r is not None:
@@ -237,6 +235,7 @@ def _floor_exact(poly: RealExpPoly, x: int) -> int:
     if not leftover:
         return math.floor(exact)
     leftover.append((0, ParamPolynomial.constant(0, exact)))
+    import mpmath  # loaded by the first floor inside the guard band, not at start-up
     with mpmath.workdps(90):
         return int(mpmath.floor(RealExpPoly.make(0, leftover).eval_mpf((), x, prec=90)))
 
@@ -264,7 +263,7 @@ def _guard_band(poly: RealExpPoly, xs: np.ndarray) -> np.ndarray:
     xf = xs.astype(np.float64)
     lnx = np.log(xf)
     band = np.full(len(xf), GUARD_ABS)
-    for exp, coeff in poly.terms:
+    for exp, coeff in poly.exponent_terms():
         # x**fl(e) is off from x**e by a factor of about 1 + ln x |e - fl(e)|.
         rel = GUARD_ULPS * np.finfo(float).eps + lnx * float(abs(exp - Fraction(float(exp))))
         band += abs(float(coeff.evaluate(()))) * xf ** float(exp) * rel
@@ -425,8 +424,7 @@ def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
     still = [np.flatnonzero(r[:, 1] == 0) for r in rows]
     # Only the combinations with some k2 != 0 are enumerated one by one.
     combos = math.prod(map(len, rows)) - math.prod(map(len, still))
-    if combos > TERM_BUDGET:
-        raise TermBudgetError(combos, TERM_BUDGET)
+    _check_budget(combos)
     # |sum_i k1_i + k2_i j_i(n)| is bounded before int64 arithmetic forms it
     reach = 0
     for r, j in zip(rows, J):

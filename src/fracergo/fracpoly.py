@@ -7,8 +7,9 @@ The objects here are finite sums
 where the exponents d_j are non-negative rationals and the coefficients
 p_j are polynomials with rational coefficients in k integer parameters.
 Everything degree-, equivalence- and type-related reduces to exact
-zero-tests of the coefficient polynomials, so all arithmetic is done in
-``fractions.Fraction``; floats only ever appear in ``eval``.
+zero-tests of the coefficient polynomials.  Coefficients are ``Fraction``,
+exponents int numerators over one canonical denominator; floats only
+appear in ``eval``, and only ``eval_mpf`` imports mpmath.
 
 On top of the arithmetic sits the reduction calculus: parameter-shift
 expansion (``taylor_shift``), the difference operation ``vdc_op``, the
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-import mpmath
 import numpy as np
 
 RationalLike = Union[int, str, Fraction]
@@ -129,12 +129,6 @@ class ParamPolynomial:
     def __sub__(self, other: "ParamPolynomial") -> "ParamPolynomial":
         return self + (-other)
 
-    def scale(self, c: RationalLike) -> "ParamPolynomial":
-        c = _as_fraction(c)
-        if c == 0:
-            return ParamPolynomial.zero(self.k)
-        return ParamPolynomial(self.k, tuple((p, c * coeff) for p, coeff in self.monomials))
-
     def widen(self) -> "ParamPolynomial":
         """Reinterpret over k+1 parameters (the new last one unused)."""
         return ParamPolynomial(self.k + 1, tuple((p + (0,), c) for p, c in self.monomials))
@@ -174,15 +168,26 @@ class ParamPolynomial:
 
 @dataclass(frozen=True)
 class RealExpPoly:
-    """sum_j p_j(h) * t^(d_j) with exact rational exponents d_j >= 0.
+    """sum_j p_j(h) * t^(n_j / q) with rational exponents n_j / q >= 0.
 
-    Terms are keyed by exponent, stored in decreasing exponent order,
-    and never carry an identically-zero coefficient polynomial; the zero
-    polynomial has no terms at all.
+    q is the lcm of the exponents' reduced denominators.  Terms are stored
+    in decreasing exponent order and never carry an identically-zero
+    coefficient polynomial; the zero polynomial has no terms and q = 1.
     """
 
     k: int
-    terms: tuple[tuple[Fraction, ParamPolynomial], ...]
+    q: int
+    terms: tuple[tuple[int, ParamPolynomial], ...]
+
+    @staticmethod
+    def _canonical(k: int, q: int, pairs) -> "RealExpPoly":
+        """Merged (numerator over q, coefficient) pairs, q put in lowest terms."""
+        terms = _merged(pairs, ParamPolynomial.zero(k), reverse=True)
+        g = math.gcd(q, *(n for n, _ in terms))
+        if g > 1:
+            q //= g
+            terms = tuple((n // g, c) for n, c in terms)
+        return RealExpPoly(k, q, terms)
 
     @staticmethod
     def make(k: int, entries) -> "RealExpPoly":
@@ -196,55 +201,54 @@ class RealExpPoly:
             if coeff.k != k:
                 raise ValueError("coefficient parameter-count mismatch")
             checked.append((exp, coeff))
-        return RealExpPoly(k, _merged(checked, ParamPolynomial.zero(k), reverse=True))
+        q = math.lcm(*(e.denominator for e, _ in checked))
+        return RealExpPoly._canonical(k, q, [(e.numerator * (q // e.denominator), c) for e, c in checked])
 
     @staticmethod
     def zero(k: int) -> "RealExpPoly":
-        return RealExpPoly(k, ())
+        return RealExpPoly(k, 1, ())
+
+    def exponent_terms(self) -> tuple[tuple[Fraction, ParamPolynomial], ...]:
+        """The terms with each exponent as a Fraction."""
+        return tuple((Fraction(n, self.q), c) for n, c in self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant_in_t(self) -> bool:
-        return all(exp == 0 for exp, _ in self.terms)
+        return not self.terms or self.terms[0][0] == 0
 
     def is_fractional(self) -> bool:
         """True iff every term with positive exponent has a non-integer exponent."""
-        return all(exp.denominator != 1 for exp, _ in self.terms if exp > 0)
+        return all(n % self.q for n, _ in self.terms if n > 0)
 
     def fractional_degree(self) -> Fraction:
         """Largest exponent carrying a nonzero coefficient; -1 for the zero polynomial."""
         if not self.terms:
             return Fraction(-1)
-        return self.terms[0][0]
+        return Fraction(self.terms[0][0], self.q)
 
     def degree(self) -> int:
         """Integer part of the fractional degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return math.floor(self.terms[0][0])
-
-    def coefficient(self, exp: RationalLike) -> ParamPolynomial:
-        exp = _as_fraction(exp)
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return ParamPolynomial.zero(self.k)
+        return self.terms[0][0] // self.q
 
     def __add__(self, other: "RealExpPoly") -> "RealExpPoly":
         if self.k != other.k:
             raise ValueError("parameter-count mismatch")
-        merged = _merged(self.terms + other.terms, ParamPolynomial.zero(self.k), reverse=True)
-        return RealExpPoly(self.k, merged)
+        q = math.lcm(self.q, other.q)
+        pairs = [(n * (q // f.q), c) for f in (self, other) for n, c in f.terms]
+        return RealExpPoly._canonical(self.k, q, pairs)
 
     def __neg__(self) -> "RealExpPoly":
-        return RealExpPoly(self.k, tuple((e, -c) for e, c in self.terms))
+        return RealExpPoly(self.k, self.q, tuple((n, -c) for n, c in self.terms))
 
     def __sub__(self, other: "RealExpPoly") -> "RealExpPoly":
         return self + (-other)
 
     def widen(self) -> "RealExpPoly":
-        return RealExpPoly(self.k + 1, tuple((e, c.widen()) for e, c in self.terms))
+        return RealExpPoly(self.k + 1, self.q, tuple((n, c.widen()) for n, c in self.terms))
 
     def eval(self, h: Sequence[int], t):
         """Numeric value at integer parameters h and real t > 0, or at
@@ -258,35 +262,36 @@ class RealExpPoly:
         if np.any(t <= 0):
             raise ValueError(f"t must be positive, got {t}")
         total = 0.0
-        for exp, coeff in self.terms:
+        for n, coeff in self.terms:
             c = coeff.evaluate(h)
             if c != 0:
-                total += float(c) * t ** float(exp)
+                # int true division is correctly rounded: n / q == float(Fraction(n, q))
+                total += float(c) * t ** (n / self.q)
         return total
 
     def eval_mpf(self, h: Sequence[int], t, prec: int = 80) -> mpmath.mpf:
         """Like ``eval`` but in mpmath arithmetic at ``prec`` decimal digits."""
+        import mpmath
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
         with mpmath.workdps(prec):
             total = mpmath.mpf(0)
             tm = mpmath.mpf(t)
-            for exp, coeff in self.terms:
+            for n, coeff in self.terms:
                 c = coeff.evaluate(h)
                 if c != 0:
-                    e = mpmath.mpf(exp.numerator) / exp.denominator
-                    total += mpmath.mpf(c.numerator) / c.denominator * tm ** e
+                    total += mpmath.mpf(c.numerator) / c.denominator * tm ** (mpmath.mpf(n) / self.q)
             return +total
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for exp, coeff in self.terms:
-            if exp == 0:
+        for n, coeff in self.terms:
+            if n == 0:
                 parts.append(f"({coeff})")
             else:
-                e = str(exp) if exp.denominator > 1 else str(exp.numerator)
+                e = _frac_str(n, self.q).removesuffix("/1")
                 if coeff.monomials == ParamPolynomial.constant(self.k, 1).monomials:
                     parts.append(f"t^({e})")
                 elif coeff.monomials == ParamPolynomial.constant(self.k, -1).monomials:
@@ -348,10 +353,18 @@ def rexp_poly(k: int, terms: Mapping[RationalLike, object]) -> RealExpPoly:
 # ---------------------------------------------------------------------------
 # the calculus
 
-def _head(f: RealExpPoly, d) -> tuple:
-    """f's terms of exponent >= d.  Terms are canonical, so f - g has
-    nothing at exponent d or above exactly when these slices agree."""
-    return tuple(term for term in f.terms if term[0] >= d)
+def _head(f: RealExpPoly, num: int, den: int = 1) -> tuple:
+    """f's terms of exponent >= num/den, as (denominator, terms) in lowest
+    terms.  Terms are canonical, so f - g has nothing at that exponent or
+    above exactly when these slices agree."""
+    terms = tuple(term for term in f.terms if term[0] * den >= num * f.q)
+    g = math.gcd(f.q, *(n for n, _ in terms))
+    return (f.q // g, tuple((n // g, c) for n, c in terms) if g > 1 else terms)
+
+
+def _leading(polys: Iterable[RealExpPoly], q: int) -> list[int]:
+    """The fractional degrees (-1 for zero) as int numerators over q, a multiple of every f.q."""
+    return [f.terms[0][0] * (q // f.q) if f.terms else -q for f in polys]
 
 
 def equivalent(a: RealExpPoly, b: RealExpPoly) -> bool:
@@ -365,17 +378,15 @@ def equivalent(a: RealExpPoly, b: RealExpPoly) -> bool:
 def is_nice(fam: Family) -> bool:
     """First member has maximal fractional degree; every member and every
     difference from the first is non-constant in t."""
-    first = fam[0]
-    d1 = first.fractional_degree()
-    if any(f.fractional_degree() > d1 for f in fam):
-        return False
-    if any(f.is_constant_in_t() for f in fam):
+    q = math.lcm(*(f.q for f in fam))
+    lead = _leading(fam, q)
+    if max(lead) > lead[0] or any(f.is_constant_in_t() for f in fam):
         return False
     # first - f is constant in t exactly when the two share every term of
     # positive exponent, that is every term at or above the least one.
-    low = min(e for f in fam for e, _ in f.terms if e > 0)
-    head = _head(first, low)
-    return all(_head(f, low) != head for f in fam.functions[1:])
+    low = min(n * (q // f.q) for f in fam for n, _ in f.terms if n > 0)
+    head = _head(fam[0], low, q)
+    return all(_head(f, low, q) != head for f in fam.functions[1:])
 
 
 def is_fractional_family(fam: Family) -> bool:
@@ -390,15 +401,16 @@ def taylor_shift(f: RealExpPoly) -> RealExpPoly:
     coefficients stay rational.  Terms whose exponent would go negative
     belong to the remainder and are excluded.
     """
-    k1 = f.k + 1
+    k1, q = f.k + 1, f.q
     pairs = []
-    for exp, coeff in f.terms:
-        binom = Fraction(1)  # binom(exp, j)
-        for j in range(math.floor(exp) + 1):
+    for n, coeff in f.terms:
+        pairs.append((n, coeff.widen()))
+        binom = Fraction(1)  # binom(n/q, j)
+        for j in range(1, n // q + 1):
+            binom = binom * Fraction(n - (j - 1) * q, q * j)
             shifted = tuple((p + (j,), binom * c) for p, c in coeff.monomials)
-            pairs.append((exp - j, ParamPolynomial(k1, shifted)))
-            binom = binom * (exp - j) / (j + 1)
-    return RealExpPoly(k1, _merged(pairs, ParamPolynomial.zero(k1), reverse=True))
+            pairs.append((n - j * q, ParamPolynomial(k1, shifted)))
+    return RealExpPoly._canonical(k1, q, pairs)
 
 
 def vdc_op(fam: Family, index: int) -> Family:
@@ -413,9 +425,9 @@ def vdc_op(fam: Family, index: int) -> Family:
     """
     if not 1 <= index <= len(fam):
         raise ValueError(f"anchor index {index} outside 1..{len(fam)}")
-    anchor = fam[index - 1].widen()
-    candidates = [taylor_shift(f) - anchor for f in fam]
-    candidates += [f.widen() - anchor for f in fam]
+    neg_anchor = -fam[index - 1].widen()
+    candidates = [taylor_shift(f) + neg_anchor for f in fam]
+    candidates += [f.widen() + neg_anchor for f in fam]
     out: dict[RealExpPoly, None] = {}
     for g in candidates:
         if not g.is_constant_in_t():
@@ -489,12 +501,15 @@ def choose_a(fam: Family) -> int:
         raise ValueError("anchor choice requires a fractional family")
     if fam[0].fractional_degree() <= 1:
         raise ValueError("family already has fractional degree <= 1")
-    degrees = [f.fractional_degree() for f in fam]
+    q = math.lcm(*(f.q for f in fam))
+    degrees = _leading(fam, q)
     if len(set(degrees)) > 1:
         tail = degrees[1:]
         return 2 + tail.index(min(tail))
-    shifted = taylor_shift(fam[0])
-    diffs = [(shifted - f.widen()).fractional_degree() for f in fam]
+    # a~_1 - a_i is (a~_1 - a_1) + (a_1 - a_i) widened.  Every monomial of the
+    # first part has h_new^j with j >= 1 and it leads at e - 1 (binom(e, 1) = e
+    # for the common degree e), the second has none, so nothing cancels.
+    diffs = [max(degrees[0] - q, x) for x in _leading([fam[0] - f for f in fam], q)]
     return 1 + diffs.index(max(diffs))
 
 
@@ -532,7 +547,7 @@ def pet_reduce(fam: Family, max_steps: int = 64) -> PetTrace:
     steps: list[PetStep] = []
     current = fam
     t_pre = type_vector(fam)
-    while current.max_fractional_degree() >= 1:
+    while any(f.degree() >= 1 for f in current):
         if len(steps) >= max_steps:
             raise PetError(f"no termination within {max_steps} steps")
         if not is_nice(current):
@@ -553,18 +568,20 @@ def pet_reduce(fam: Family, max_steps: int = 64) -> PetTrace:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _frac_str(num: int, den: int) -> str:
+    """num/den in lowest terms."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def _coeff_to_json(c: ParamPolynomial) -> list:
-    return [{"c": _frac_str(coeff), "powers": list(p)} for p, coeff in c.monomials]
+    return [{"c": _frac_str(*coeff.as_integer_ratio()), "powers": list(p)} for p, coeff in c.monomials]
 
 
 def _poly_to_json(f: RealExpPoly) -> dict:
     return {
         "terms": [
-            {"exponent": _frac_str(e), "coeff": _coeff_to_json(c)} for e, c in f.terms
+            {"exponent": _frac_str(n, f.q), "coeff": _coeff_to_json(c)} for n, c in f.terms
         ]
     }
 

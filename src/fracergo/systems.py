@@ -71,6 +71,12 @@ class TermBudgetError(ValueError):
         self.budget = budget
 
 
+def _check_budget(needed: int) -> None:
+    """Refuse ``needed`` terms past TERM_BUDGET, read here at call time."""
+    if needed > TERM_BUDGET:
+        raise TermBudgetError(needed, TERM_BUDGET)
+
+
 @dataclass(frozen=True)
 class Cyclic:
     m: int
@@ -355,8 +361,7 @@ def multiply(f, g):
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
     needed = len(f.amps) * len(g.amps)
-    if needed > TERM_BUDGET:
-        raise TermBudgetError(needed, TERM_BUDGET)
+    _check_budget(needed)
     _check_reach(_reach(f) + _reach(g))
     freqs = (f.freqs[:, None, :] + g.freqs[None, :, :]).reshape(needed, f.dim)
     return _canonical(f.dim, freqs, np.multiply.outer(f.amps, g.amps).ravel())

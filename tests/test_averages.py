@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracergo import systems
 from fracergo.averages import (
     CHUNK,
     Bounded,
@@ -477,6 +478,20 @@ def test_over_budget_average_raises_term_budget_error():
     with pytest.raises(TermBudgetError) as exc:
         multi_average(Skew(), [spec(SQRT)] * 3, [f] * 3, Unweighted(), 5)
     assert exc.value.needed == 47**3
+
+
+def test_one_term_budget_for_products_and_averages(monkeypatch):
+    # Nine term combinations, all with k2 != 0: one budget refuses both.
+    f = FourierPoly.make(2, [((k, 1), 1.0) for k in range(3)])
+    monkeypatch.setattr(systems, "TERM_BUDGET", 4)
+    with pytest.raises(TermBudgetError):
+        multiply(f, f)
+    with pytest.raises(TermBudgetError) as exc:
+        multi_average(Skew(), [spec(SQRT)] * 2, [f] * 2, Unweighted(), 5)
+    assert (exc.value.needed, exc.value.budget) == (9, 4)
+    monkeypatch.setattr(systems, "TERM_BUDGET", 9)
+    multiply(f, f)
+    multi_average(Skew(), [spec(SQRT)] * 2, [f] * 2, Unweighted(), 5)
 
 
 def test_multi_average_cube_weight_benchmark_is_zero(table):

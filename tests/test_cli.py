@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracergo
 from fracergo import systems
 from fracergo.cli import _build_function, main
 from fracergo.fracpoly import Family, family_from_json, family_to_json, rexp_poly
@@ -29,6 +33,16 @@ def read_rows(out_dir, name):
 
 def read_sidecar(out_dir, name):
     return json.loads((out_dir / f"{name}.json").read_text())
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # mpmath is loaded by an exact floor inside the guard band, not at start-up.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracergo.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, fracergo.cli; print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

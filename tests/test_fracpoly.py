@@ -1,9 +1,11 @@
+import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracergo.fracpoly import (
@@ -45,7 +47,7 @@ def test_param_polynomial_rejects_mismatched_powers():
 
 def test_rexp_poly_normalizes():
     f = rexp_poly(0, {F(1, 2): 1, F(3, 2): 2, 2: 0})
-    assert [e for e, _ in f.terms] == [F(3, 2), F(1, 2)]
+    assert [e for e, _ in f.exponent_terms()] == [F(3, 2), F(1, 2)]
     assert f.fractional_degree() == F(3, 2)
     assert f.degree() == 1
 
@@ -253,6 +255,22 @@ def test_pet_reduce_degree_two_first_step():
     assert trace.final.max_fractional_degree() < 1
 
 
+def test_pet_trace_of_three_members_is_pinned():
+    # t^(3/2), t^(3/2) + t^(11/10), t^(3/2) + t^(6/5) + t^(11/10): 11 steps,
+    # up to 2047 members.  The digest is of the trace before exponents
+    # were stored as int numerators.
+    fam = Family(tuple(rexp_poly(0, m) for m in (
+        {F(3, 2): 1},
+        {F(3, 2): 1, F(11, 10): 1},
+        {F(3, 2): 1, F(6, 5): 1, F(11, 10): 1},
+    )))
+    trace = pet_reduce(fam)
+    assert len(trace) == 11
+    assert max(len(s.family_after) for s in trace.steps) == 2047
+    dump = json.dumps(trace_to_json(trace), sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == "f39e2e67be17c6c5c4c402ec9ab5207c04081cc2e211324b60db26be73a03ba7"
+
+
 def test_pet_reduce_rejects_non_fractional():
     with pytest.raises(ValueError):
         pet_reduce(Family((rexp_poly(0, {2: 1}),)))
@@ -415,9 +433,10 @@ def _assert_canonical(x):
         assert keys == sorted(set(keys))
         assert all(len(p) == x.k for p in keys)
     else:
-        keys = [e for e, _ in x.terms]
+        keys = [e for e, _ in x.exponent_terms()]
         assert keys == sorted(set(keys), reverse=True)
-        for _, c in x.terms:
+        assert math.gcd(x.q, *(n for n, _ in x.terms)) == 1
+        for _, c in x.exponent_terms():
             assert not c.is_zero() and c.k == x.k
             _assert_canonical(c)
 
@@ -429,8 +448,37 @@ def test_arithmetic_is_make_of_the_concatenated_pairs(k, data):
     f, g = data.draw(_rexp_polys(k)), data.draw(_rexp_polys(k))
     assert p + q == ParamPolynomial.make(k, p.monomials + q.monomials)
     assert p - q == ParamPolynomial.make(k, p.monomials + (-q).monomials)
-    assert f + g == RealExpPoly.make(k, f.terms + g.terms)
-    assert f - g == RealExpPoly.make(k, f.terms + (-g).terms)
+    assert f + g == RealExpPoly.make(k, f.exponent_terms() + g.exponent_terms())
+    assert f - g == RealExpPoly.make(k, f.exponent_terms() + (-g).exponent_terms())
     assert (p - p).is_zero() and (f - f).is_zero()
     for x in (p, q, p + q, p - q, f, g, f + g, f - g, taylor_shift(f), taylor_shift(f) - g.widen()):
         _assert_canonical(x)
+
+
+_TAILS = st.dictionaries(
+    st.fractions(min_value=0, max_value=3, max_denominator=12),
+    st.integers(min_value=-2, max_value=2),
+    max_size=3,
+)
+
+
+@settings(max_examples=200)
+@example({F(1, 2): 1}, {F(11, 10): 1})
+@example({F(3, 2): 1}, {F(1, 10): 1})
+@given(_POLY_TERMS, _TAILS)
+def test_denominator_is_canonical_however_reached(terms, extra):
+    # Exponents are numerators over the least common denominator, so a
+    # polynomial reached through a cancellation that removes every term
+    # of a finer denominator is the one built directly.
+    direct = rexp_poly(0, terms)
+    other = rexp_poly(0, extra)
+    reached = (direct + other) - other
+    assert reached == direct and hash(reached) == hash(direct)
+    d = direct.degree()
+    if d < 0:
+        return
+    # A tail below the degree, of any denominator, leaves the leading slice alone.
+    tail = rexp_poly(0, {e: c for e, c in extra.items() if e < d})
+    for a in (direct, reached):
+        assert equivalent(a, a + tail) and equivalent(a + tail, direct)
+        assert type_vector(Family((a + tail, direct))) == type_vector(Family((reached,)))
