@@ -12,11 +12,11 @@ skew product, along any number of iterates.
 
 Floors of iterate values are taken exactly.  The fast path is a float
 evaluation; any value landing inside a guard band around an integer is
-re-done with integer root extraction where the term is rational, and
-90-digit arithmetic otherwise.  The band bounds the float error from
-the terms, not from the value, since cancelling terms leave a small
-value with a large error: sum_i |c_i| x^(e_i) (GUARD_ULPS eps +
-ln x |e_i - fl(e_i)|) + 1e-9, with fl(e_i) the double nearest e_i.
+re-done with integer roots, at doubling precision where irrational
+terms are left.  The band bounds the float error from the terms, not
+from the value, since cancelling terms leave a small value with a large
+error: sum_i |c_i| x^(e_i) (GUARD_ULPS eps + ln x |e_i - fl(e_i)|) +
+1e-9, with fl(e_i) the double nearest e_i.
 
 Torus averages are contracted by GEMM, CHUNK indices n at a time, not
 summed per term combination: that moves them by about N eps sum|amp|.
@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .fracpoly import Family, ParamPolynomial, RealExpPoly, family_to_json, is_nice
+from .fracpoly import Family, RealExpPoly, family_to_json, is_nice
 from .primes import PrimeTable, von_mangoldt_cube
 from .systems import (
     Cyclic,
@@ -207,14 +207,16 @@ def _exact_power(x: int, exp: Fraction) -> Optional[Fraction]:
 
 
 def _floor_exact(poly: RealExpPoly, x: int) -> int:
-    """Floor of poly(x) with no float in the loop.
+    """Floor of poly(x) in integer arithmetic.
 
     Rational-valued terms accumulate in a Fraction.  The others are
     grouped by x^e up to a rational factor and each group's coefficient
     is summed exactly, so a cancellation such as x^(3/2) - 72 x^(13/10)
     at x = 72^5 is exactly 0.  Radicals of distinct groups are linearly
-    independent over the rationals, so what is left is irrational, and
-    its floor is taken at 90 digits.
+    independent over the rationals, so what is left is never an integer.
+    Each x^g lies strictly between r / 2^bits and (r + 1) / 2^bits, with
+    r the integer root of x^g 2^bits; bits doubles from 64 until the
+    bracket this puts around the value holds no integer.
     """
     exact = Fraction(0)
     groups: dict[Fraction, Fraction] = {}  # x^g with g the largest exponent of its group
@@ -231,13 +233,20 @@ def _floor_exact(poly: RealExpPoly, x: int) -> int:
                 break
         else:
             groups[exp] = c
-    leftover = [(g, ParamPolynomial.constant(0, c)) for g, c in groups.items() if c != 0]
-    if not leftover:
+    if not any(groups.values()):
         return math.floor(exact)
-    leftover.append((0, ParamPolynomial.constant(0, exact)))
-    import mpmath  # loaded by the first floor inside the guard band, not at start-up
-    with mpmath.workdps(90):
-        return int(mpmath.floor(RealExpPoly.make(0, leftover).eval_mpf((), x, prec=90)))
+    bits = 64
+    while True:
+        # poly(x) 2^bits lies strictly between lo and lo + width
+        lo, width = exact * 2**bits, 0
+        for g, c in groups.items():
+            r = _iroot_floor(x**g.numerator << bits * g.denominator, g.denominator)
+            lo += c * r + min(c, 0)
+            width += abs(c)
+        k = math.floor(lo / 2**bits)
+        if lo + width <= (k + 1) * 2**bits:
+            return k
+        bits *= 2
 
 
 def iterate_value(spec: IterateSpec, n: int, table: Optional[PrimeTable] = None) -> int:

@@ -9,7 +9,7 @@ p_j are polynomials with rational coefficients in k integer parameters.
 Everything degree-, equivalence- and type-related reduces to exact
 zero-tests of the coefficient polynomials.  Coefficients are ``Fraction``,
 exponents int numerators over one canonical denominator; floats only
-appear in ``eval``, and only ``eval_mpf`` imports mpmath.
+appear in ``eval``.
 
 On top of the arithmetic sits the reduction calculus: parameter-shift
 expansion (``taylor_shift``), the difference operation ``vdc_op``, the
@@ -268,20 +268,6 @@ class RealExpPoly:
                 # int true division is correctly rounded: n / q == float(Fraction(n, q))
                 total += float(c) * t ** (n / self.q)
         return total
-
-    def eval_mpf(self, h: Sequence[int], t, prec: int = 80) -> mpmath.mpf:
-        """Like ``eval`` but in mpmath arithmetic at ``prec`` decimal digits."""
-        import mpmath
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
-        with mpmath.workdps(prec):
-            total = mpmath.mpf(0)
-            tm = mpmath.mpf(t)
-            for n, coeff in self.terms:
-                c = coeff.evaluate(h)
-                if c != 0:
-                    total += mpmath.mpf(c.numerator) / c.denominator * tm ** (mpmath.mpf(n) / self.q)
-            return +total
 
     def __str__(self) -> str:
         if not self.terms:
@@ -550,11 +536,10 @@ def pet_reduce(fam: Family, max_steps: int = 64) -> PetTrace:
     while any(f.degree() >= 1 for f in current):
         if len(steps) >= max_steps:
             raise PetError(f"no termination within {max_steps} steps")
-        if not is_nice(current):
-            raise PetError("intermediate family is not nice")
-        if not is_fractional_family(current):
-            raise PetError("intermediate family is not fractional")
-        idx = choose_a(current)
+        try:
+            idx = choose_a(current)  # checks that the family is nice and fractional
+        except ValueError as err:
+            raise PetError(f"intermediate family: {err}") from err
         after = vdc_op(current, idx)
         t_post = type_vector(after)
         if not type_lt(t_post, t_pre):

@@ -24,8 +24,6 @@ __all__ = [
     "sieve",
     "save_table",
     "load_table",
-    "von_mangoldt_prime",
-    "delta_von_mangoldt",
     "von_mangoldt_cube",
     "cube",
     "is_star",
@@ -164,30 +162,6 @@ def load_table(path: str) -> PrimeTable:
 # ---------------------------------------------------------------------------
 # von Mangoldt
 
-def _is_prime_trial(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def von_mangoldt_prime(n: int, table: Optional[PrimeTable] = None) -> float:
-    """log n on primes, 0 elsewhere."""
-    if n < 1:
-        raise ValueError("defined on positive integers")
-    if table is not None and n <= table.limit:
-        prime = bool(table.is_prime[n])
-    else:
-        prime = _is_prime_trial(n)
-    return math.log(n) if prime else 0.0
-
-
 def von_mangoldt_array(table: PrimeTable, upto: int) -> np.ndarray:
     """Vector of von Mangoldt values on 0..upto (index = argument)."""
     if upto > table.limit:
@@ -229,22 +203,6 @@ def cube(shifts: Sequence[int]) -> tuple[int, ...]:
 def is_star(shifts: Sequence[int]) -> bool:
     c = cube(shifts)
     return len(set(c)) == len(c)
-
-
-def delta_von_mangoldt(
-    shifts: Sequence[int], n: int, table: Optional[PrimeTable] = None
-) -> float:
-    """Product of von Mangoldt values over the shift cube of n.
-
-    With an empty shift tuple this is just the single value at n.
-    """
-    out = 1.0
-    for s in cube(shifts):
-        v = von_mangoldt_prime(n + s, table)
-        if v == 0.0:
-            return 0.0
-        out *= v
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar, Iterable, Sequence, Union
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = [
     "constant",
     "indicator",
     "fejer_arc",
-    "frac_mult",
     "frac_multiples",
     "apply_power",
     "integrate",
@@ -122,20 +120,13 @@ def parse_system(text: str) -> SystemSpec:
     raise ValueError(f"unknown system {text!r}")
 
 
-def frac_mult(alpha: float, n: int) -> float:
-    """Fractional part of n*alpha, exact in the double representation.
+def frac_multiples(alpha: float, ns: Iterable[int]) -> np.ndarray:
+    """Fractional parts of n*alpha, exact in the double representation.
 
     alpha as stored is a dyadic rational A / 2^e; n*A mod 2^e is exact
-    integer arithmetic, so the only rounding is the final division.
+    integer arithmetic per entry, so the only rounding is the division.
     """
-    fr = Fraction(alpha)
-    return float(int(n) * fr.numerator % fr.denominator) / fr.denominator
-
-
-def frac_multiples(alpha: float, ns: Iterable[int]) -> np.ndarray:
-    """Vector form of ``frac_mult`` (Python-int exact path per entry)."""
-    fr = Fraction(alpha)
-    num, den = fr.numerator, fr.denominator
+    num, den = float(alpha).as_integer_ratio()
     fden = float(den)
     return np.array([(int(n) * num % den) / fden for n in ns])
 
@@ -325,7 +316,7 @@ def apply_power(sys: SystemSpec, f, n: int):
     # Torus: e(k1 x + k2 y) pulls back to frequency (k1 + n k2, k2) with
     # phase k1 n alpha + k2 n(n-1)/2 alpha; a rotation frequency (k,) is
     # the k2 = 0 slice (k, 0).  Each phase is reduced mod 1 in Python ints
-    # with alpha = num / den, as frac_mult does.  The shear keeps the
+    # with alpha = num / den, as frac_multiples does.  The shear keeps the
     # k2-major order.
     tri = n * (n - 1) // 2
     num, den = sys.alpha.as_integer_ratio()

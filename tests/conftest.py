@@ -20,6 +20,16 @@ def table():
     return sieve(SIEVE_LIMIT)
 
 
+@pytest.fixture(scope="session")
+def pell_pair():
+    """The first a^2 - 2 b^2 = 1 with b above 10^95 (b is about 1.7e95), so
+    that b 2^(1/2) - a is about -2e-96."""
+    a, b = 3, 2
+    while b < 10**95:
+        a, b = 3 * a + 4 * b, 2 * a + 3 * b
+    return a, b
+
+
 @pytest.fixture
 def criterion_report():
     def record(number: int, name: str, passed: bool, elapsed: float, detail: str = ""):

@@ -30,7 +30,7 @@ from fracergo.averages import (
     weyl_sum,
 )
 from fracergo.fracpoly import Family, rexp_poly
-from fracergo.primes import delta_von_mangoldt, von_mangoldt_prime
+from fracergo.primes import cube
 from fracergo.systems import (
     Cyclic,
     CyclicFunction,
@@ -164,6 +164,42 @@ def test_vector_floors_match_exact_floors_on_cancelling_terms(e2, q, K, data):
     assert got[ns.index(n0)] == K
 
 
+def test_floor_past_any_fixed_precision(pell_pair):
+    # b 2^(1/2) - a = -1 / (a + b 2^(1/2)), about -2e-96: its floor is -1,
+    # which no evaluation at a fixed 90 digits resolves.
+    a, b = pell_pair
+    s = spec({F(1, 2): b, 0: -a})
+    assert iterate_value(s, 2) == -1
+    assert iterate_values(s, [2]).tolist() == [-1]
+
+
+_RADICAL_EXPONENT = st.integers(2, 12).flatmap(
+    lambda q: st.integers(1, 3 * q - 1).filter(lambda p: p % q).map(lambda p: F(p, q)))
+_SMALL_RATIONAL = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@given(
+    st.sampled_from([11, 13, 97, 7919, 65537, 999983]),
+    st.dictionaries(_RADICAL_EXPONENT, _SMALL_RATIONAL, min_size=2, max_size=4),
+    st.integers(0, 40),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sums_of_radicals_floor_exactly_next_to_integers(x, terms, digits, below):
+    # At a prime x > 9 no group of terms cancels (the lowest coefficient of a
+    # group would need x to divide a product of integers below 10), so the
+    # sum is irrational.  A constant moves it to within 10^-digits above 0
+    # or below it.  Every term is below x^3 < 2^60: 120 digits resolve it.
+    sign = -1 if below else 1
+    scaled = {e: sign * c * 10**digits for e, c in terms.items()}
+    shifted = {**terms, 0: F(-sign * _floor_120_digits(scaled, x), 10**digits)}
+    want = _floor_120_digits(shifted, x)
+    assert want == (-1 if below else 0)
+    s = spec(shifted)
+    assert iterate_value(s, x) == want
+    assert iterate_values(s, [x]).tolist() == [want]
+
+
 def test_iterate_primes_mode(table):
     s = spec(SQRT, "primes")
     # the fifth prime is 11
@@ -192,6 +228,13 @@ def test_iterate_values_keep_the_int64_end_points():
 # ---------------------------------------------------------------------------
 # weights
 
+def lam(n):
+    """log n on primes, 0 elsewhere, by trial division: independent of the sieve."""
+    if n < 2 or any(n % f == 0 for f in range(2, math.isqrt(n) + 1)):
+        return 0.0
+    return math.log(n)
+
+
 def test_weight_values_unweighted_and_bounded():
     assert weight_values(Unweighted(), 4).tolist() == [1, 1, 1, 1]
     w = weight_values(Bounded((1.0, 2.0, 3.0)), 7)
@@ -203,7 +246,7 @@ def test_weight_values_unweighted_and_bounded():
 def test_weight_values_von_mangoldt(table):
     w = weight_values(VonMangoldt(), 30, table)
     for n in range(1, 31):
-        assert w[n - 1] == von_mangoldt_prime(n, table)
+        assert w[n - 1] == lam(n)
     with pytest.raises(ValueError):
         weight_values(VonMangoldt(), 10)
 
@@ -213,7 +256,7 @@ def test_weight_values_cube_product(table):
         w = weight_values(DeltaVonMangoldt(shifts), 40, table)
         for n in range(1, 41):
             assert w[n - 1] == pytest.approx(
-                delta_von_mangoldt(shifts, n, table), rel=1e-14
+                math.prod(lam(n + s) for s in cube(shifts)), rel=1e-14
             )
 
 
@@ -292,7 +335,7 @@ def test_multi_average_cyclic_matches_loop(table):
     for x in range(5):
         total = 0j
         for idx, n in enumerate(range(1, N + 1)):
-            w = von_mangoldt_prime(n, table)
+            w = lam(n)
             total += w * arrays[0][(x + j1[idx]) % 5] * arrays[1][(x + j2[idx]) % 5]
         assert out.average.values[x] == pytest.approx(total / N, abs=1e-12)
     bench = integrate(sys, funcs[0]) * integrate(sys, funcs[1])

@@ -35,14 +35,28 @@ def read_sidecar(out_dir, name):
     return json.loads((out_dir / f"{name}.json").read_text())
 
 
-def test_importing_the_cli_leaves_mpmath_unloaded():
-    # mpmath is loaded by an exact floor inside the guard band, not at start-up.
+def test_importing_the_cli_leaves_mpmath_unloaded(pell_pair):
+    # mpmath is a test dependency only: nothing imports it, and exact floors
+    # work with it blocked.
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracergo.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, fracergo.cli; print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+    a, b = pell_pair
+    code = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from fractions import Fraction as F\n"
+        "from fracergo.averages import IterateSpec, iterate_value\n"
+        "from fracergo.fracpoly import rexp_poly\n"
+        # 2^(3/2) + 2^(11/10) = 2.828... + 2.143... in two radical groups
+        "print(iterate_value(IterateSpec(rexp_poly(0, {F(3, 2): 1, F(11, 10): 1})), 2))\n"
+        f"print(iterate_value(IterateSpec(rexp_poly(0, {{F(1, 2): {b}, 0: -{a}}})), 2))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["4", "-1"]
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +109,22 @@ def test_equidist_floored_integer_frequency_is_flat(tmp_path):
     assert rc == 0
     _, rows = read_rows(tmp_path, "equidist")
     assert rows == [["200", "1.0", "0.0"]]
+
+
+def test_equidist_floors_the_pell_value_exactly(tmp_path, pell_pair):
+    # The first prime is 2, where b t^(1/2) - a is about -2e-96: floor -1,
+    # so the one term is e(-1/3).
+    a, b = pell_pair
+    fam = write_family(tmp_path / "fam.json", [{F(1, 2): b, 0: -a}])
+    rc = main([
+        "equidist", "--family", fam, "--mode", "primes", "--N", "1", "--t", "1/3",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    _, rows = read_rows(tmp_path, "equidist")
+    z = complex(float(rows[0][1]), float(rows[0][2]))
+    assert rows[0][0] == "1"
+    assert z == pytest.approx(systems.e(-1 / 3), abs=1e-12)
 
 
 def test_equidist_no_floor_decays(tmp_path):

@@ -75,8 +75,6 @@ def test_eval_matches_fraction_arithmetic():
     f = rexp_poly(1, {2: {(1,): F(1, 3)}, 0: 5})
     # at h=(3,), t=2.0: (1/3)*3*4 + 5 = 9
     assert f.eval((3,), 2.0) == pytest.approx(9.0, abs=1e-12)
-    v = f.eval_mpf((3,), 2, prec=40)
-    assert float(v) == pytest.approx(9.0, abs=1e-12)
 
 
 def test_equivalence_pinned_pairs():

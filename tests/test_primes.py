@@ -15,7 +15,6 @@ from fracergo.primes import (
     check_tuple_bound,
     count_prime_tuples,
     cube,
-    delta_von_mangoldt,
     is_star,
     load_table,
     nu_p,
@@ -25,7 +24,6 @@ from fracergo.primes import (
     star_complement_count,
     twin_series_batch,
     von_mangoldt_array,
-    von_mangoldt_prime,
 )
 
 def oracle_sieve(limit):
@@ -148,27 +146,23 @@ def test_load_rejects_truncated_payload(tmp_path):
 # ---------------------------------------------------------------------------
 # von Mangoldt
 
-def test_von_mangoldt_on_primes_only():
-    assert von_mangoldt_prime(2) == math.log(2)
-    assert von_mangoldt_prime(97) == math.log(97)
-    # prime powers are excluded: this variant lives on the primes alone
-    assert von_mangoldt_prime(4) == 0.0
-    assert von_mangoldt_prime(9) == 0.0
-    assert von_mangoldt_prime(1) == 0.0
-    with pytest.raises(ValueError):
-        von_mangoldt_prime(0)
+def lam(n):
+    """log n on primes, 0 elsewhere, by trial division: independent of the sieve."""
+    if n < 2 or any(n % f == 0 for f in range(2, math.isqrt(n) + 1)):
+        return 0.0
+    return math.log(n)
 
 
-def test_von_mangoldt_table_and_trial_agree(table):
-    for n in range(1, 200):
-        assert von_mangoldt_prime(n, table) == von_mangoldt_prime(n)
+def delta_lam(shifts, n):
+    """The product of lam over the shift cube of n, in cube order."""
+    return math.prod(lam(n + s) for s in cube(shifts))
 
 
 def test_von_mangoldt_array_matches_scalar(table):
     arr = von_mangoldt_array(table, 500)
     assert arr.shape == (501,)
     for n in range(1, 501):
-        assert arr[n] == von_mangoldt_prime(n, table)
+        assert arr[n] == lam(n)
     with pytest.raises(ValueError):
         von_mangoldt_array(sieve(100), 200)
 
@@ -204,15 +198,6 @@ def test_cube_is_all_subset_sums(shifts):
     assert len(got) == 2 ** len(shifts)
     assert sorted(got) == sorted(sums)
     assert is_star(tuple(shifts)) == (len(set(sums)) == len(sums))
-
-
-def test_delta_von_mangoldt(table):
-    # empty shift tuple degenerates to the plain weight
-    assert delta_von_mangoldt((), 13, table) == math.log(13)
-    # twin pair (5, 7): offsets 0 and 2 both prime
-    expected = math.log(5) * math.log(7)
-    assert delta_von_mangoldt((2,), 5, table) == pytest.approx(expected, rel=1e-15)
-    assert delta_von_mangoldt((2,), 7, table) == 0.0  # 9 is not prime
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +360,7 @@ def test_check_cor_primes_vs_direct_mean(table):
     got = check_cor_primes(table, (2, 6), 0, N)
     total = 0.0
     for n in range(1, N + 1):
-        total += delta_von_mangoldt((2, 6), n, table)
+        total += delta_lam((2, 6), n)
     assert got == pytest.approx(total / N, rel=1e-12)
     assert got > 0.0  # (5, 7, 11, 13) is a witness
 
@@ -391,7 +376,7 @@ def test_check_cor_primes_validation(table):
 
 @pytest.mark.parametrize("shifts, c, N", [((2,), 0, 10), ((2,), 1, 10), ((2, 4), 3, 30), ((6,), 5, 1)])
 def test_check_cor_primes_small_cases_vs_direct_mean(table, shifts, c, N):
-    want = sum(delta_von_mangoldt(shifts, n + c, table) for n in range(1, N + 1)) / N
+    want = sum(delta_lam(shifts, n + c) for n in range(1, N + 1)) / N
     assert check_cor_primes(table, shifts, c, N) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 

@@ -23,7 +23,6 @@ from fracergo.systems import (
     fejer_arc,
     fourier_const,
     fourier_e,
-    frac_mult,
     frac_multiples,
     indicator,
     integrate,
@@ -36,6 +35,17 @@ from fracergo.systems import (
 
 # ---------------------------------------------------------------------------
 # exact fractional parts
+
+def frac_mult(alpha: float, n: int) -> float:
+    """Fractional part of n*alpha, exact in the double representation:
+    the scalar oracle for frac_multiples and the torus phases.
+
+    alpha as stored is a dyadic rational A / 2^e; n*A mod 2^e is exact
+    integer arithmetic, so the only rounding is the final division.
+    """
+    fr = Fraction(alpha)
+    return float(int(n) * fr.numerator % fr.denominator) / fr.denominator
+
 
 @given(st.integers(min_value=-(10**12), max_value=10**12))
 @settings(max_examples=300, deadline=None)
