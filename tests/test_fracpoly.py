@@ -269,6 +269,21 @@ def test_pet_trace_of_three_members_is_pinned():
     assert hashlib.sha256(dump).hexdigest() == "f39e2e67be17c6c5c4c402ec9ab5207c04081cc2e211324b60db26be73a03ba7"
 
 
+def test_pet_text_and_values_of_three_members_are_pinned():
+    # str and eval of all 4128 members after each step of the trace above;
+    # most have coefficients of several monomials in up to 11 parameters.
+    fam = Family(tuple(rexp_poly(0, m) for m in (
+        {F(3, 2): 1},
+        {F(3, 2): 1, F(11, 10): 1},
+        {F(3, 2): 1, F(6, 5): 1, F(11, 10): 1},
+    )))
+    digest = hashlib.sha256()
+    for step in pet_reduce(fam).steps:
+        for f in step.family_after:
+            digest.update(f"{f}\t{f.eval(tuple(range(2, 2 + f.k)), 3.7)!r}\n".encode())
+    assert digest.hexdigest() == "c2d161c9da233a59d09c740a2dd9887c6e7bc96780fa48dc2a095e1f2509de7c"
+
+
 def test_pet_reduce_rejects_non_fractional():
     with pytest.raises(ValueError):
         pet_reduce(Family((rexp_poly(0, {2: 1}),)))
