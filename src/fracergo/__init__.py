@@ -12,7 +12,6 @@ front end (``cli``).
 
 from .fracpoly import (
     Family,
-    ParamPolynomial,
     PetError,
     RealExpPoly,
     TypeVector,

@@ -220,8 +220,7 @@ def _floor_exact(poly: RealExpPoly, x: int) -> int:
     """
     exact = Fraction(0)
     groups: dict[Fraction, Fraction] = {}  # x^g with g the largest exponent of its group
-    for exp, coeff in poly.exponent_terms():
-        c = coeff.evaluate(())
+    for exp, c in poly.exponent_terms():
         r = _exact_power(x, exp)
         if r is not None:
             exact += c * r
@@ -272,10 +271,10 @@ def _guard_band(poly: RealExpPoly, xs: np.ndarray) -> np.ndarray:
     xf = xs.astype(np.float64)
     lnx = np.log(xf)
     band = np.full(len(xf), GUARD_ABS)
-    for exp, coeff in poly.exponent_terms():
+    for exp, c in poly.exponent_terms():
         # x**fl(e) is off from x**e by a factor of about 1 + ln x |e - fl(e)|.
         rel = GUARD_ULPS * np.finfo(float).eps + lnx * float(abs(exp - Fraction(float(exp))))
-        band += abs(float(coeff.evaluate(()))) * xf ** float(exp) * rel
+        band += abs(float(c)) * xf ** float(exp) * rel
     return band
 
 

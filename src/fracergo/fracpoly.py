@@ -6,10 +6,11 @@ The objects here are finite sums
 
 where the exponents d_j are non-negative rationals and the coefficients
 p_j are polynomials with rational coefficients in k integer parameters.
-Everything degree-, equivalence- and type-related reduces to exact
-zero-tests of the coefficient polynomials.  Coefficients are ``Fraction``,
-exponents int numerators over one canonical denominator; floats only
-appear in ``eval``.
+A ``RealExpPoly`` stores such a sum as one canonical tuple of monomials
+c * h^P * t^(n/q): a nonzero ``Fraction`` c, a power vector P and an int
+numerator n over one canonical denominator q.  Everything degree-,
+equivalence- and type-related reduces to exact comparisons of these
+tuples, and floats only appear in ``eval``.
 
 On top of the arithmetic sits the reduction calculus: parameter-shift
 expansion (``taylor_shift``), the difference operation ``vdc_op``, the
@@ -25,6 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -32,7 +34,6 @@ import numpy as np
 RationalLike = Union[int, str, Fraction]
 
 __all__ = [
-    "ParamPolynomial",
     "RealExpPoly",
     "Family",
     "TypeVector",
@@ -68,224 +69,170 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _merged(pairs, zero, reverse: bool = False) -> tuple:
-    """The canonical tuple of (key, value) pairs: repeated keys summed,
-    values equal to ``zero`` dropped, keys sorted."""
-    acc: dict = {}
-    for key, value in pairs:
-        acc[key] = acc[key] + value if key in acc else value
-    return tuple(sorted(((key, v) for key, v in acc.items() if v != zero), reverse=reverse))
-
-
 def _join_signed(parts: list[str]) -> str:
     return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
 
 
-@dataclass(frozen=True)
-class ParamPolynomial:
-    """A polynomial with rational coefficients in k integer parameters.
+def _monomial_order(term) -> tuple:
+    (n, powers), _ = term
+    return (-n, powers)
 
-    ``monomials`` maps each power vector (one exponent per parameter) to
-    its nonzero coefficient; the representation is canonical, so the
-    zero polynomial is the empty tuple and equality is structural.
-    """
 
-    k: int
-    monomials: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-    @staticmethod
-    def make(k: int, entries) -> "ParamPolynomial":
-        """From (power vector, coefficient) pairs or a {power vector:
-        coefficient} mapping; repeated power vectors are summed."""
-        checked = []
-        for powers, c in entries.items() if isinstance(entries, Mapping) else entries:
-            powers = tuple(int(p) for p in powers)
-            if len(powers) != k:
-                raise ValueError(f"power vector {powers} does not have {k} entries")
-            if any(p < 0 for p in powers):
-                raise ValueError(f"negative parameter power in {powers}")
-            checked.append((powers, _as_fraction(c)))
-        return ParamPolynomial(k, _merged(checked, 0))
-
-    @staticmethod
-    def zero(k: int) -> "ParamPolynomial":
-        return ParamPolynomial(k, ())
-
-    @staticmethod
-    def constant(k: int, c: RationalLike) -> "ParamPolynomial":
-        return ParamPolynomial.make(k, [((0,) * k, c)])
-
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def __add__(self, other: "ParamPolynomial") -> "ParamPolynomial":
-        if self.k != other.k:
-            raise ValueError("parameter-count mismatch")
-        return ParamPolynomial(self.k, _merged(self.monomials + other.monomials, 0))
-
-    def __neg__(self) -> "ParamPolynomial":
-        return ParamPolynomial(self.k, tuple((p, -c) for p, c in self.monomials))
-
-    def __sub__(self, other: "ParamPolynomial") -> "ParamPolynomial":
-        return self + (-other)
-
-    def widen(self) -> "ParamPolynomial":
-        """Reinterpret over k+1 parameters (the new last one unused)."""
-        return ParamPolynomial(self.k + 1, tuple((p + (0,), c) for p, c in self.monomials))
-
-    def evaluate(self, h: Sequence[int]) -> Fraction:
-        if len(h) != self.k:
-            raise ValueError(f"expected {self.k} parameter values, got {len(h)}")
-        total = Fraction(0)
-        for powers, c in self.monomials:
-            term = c
-            for base, p in zip(h, powers):
-                if p:
-                    term *= Fraction(base) ** p
-            total += term
-        return total
-
-    def __str__(self) -> str:
-        if not self.monomials:
-            return "0"
-        parts = []
-        for powers, c in self.monomials:
-            vars_part = "".join(
-                f"h{i+1}" + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(powers)
-                if p > 0
-            )
-            if not vars_part:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(vars_part)
-            elif c == -1:
-                parts.append(f"-{vars_part}")
-            else:
-                parts.append(f"{c}*{vars_part}")
-        return _join_signed(parts)
+def _coeff_str(monomials) -> str:
+    """A coefficient polynomial from its (power vector, rational) pairs."""
+    parts = []
+    for powers, c in monomials:
+        vars_part = "".join(f"h{i+1}" + (f"^{p}" if p > 1 else "") for i, p in enumerate(powers) if p > 0)
+        if not vars_part:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(vars_part)
+        elif c == -1:
+            parts.append(f"-{vars_part}")
+        else:
+            parts.append(f"{c}*{vars_part}")
+    return _join_signed(parts)
 
 
 @dataclass(frozen=True)
 class RealExpPoly:
-    """sum_j p_j(h) * t^(n_j / q) with rational exponents n_j / q >= 0.
+    """sum_j c_j * h^(P_j) * t^(n_j / q) with rational exponents n_j / q >= 0.
 
-    q is the lcm of the exponents' reduced denominators.  Terms are stored
-    in decreasing exponent order and never carry an identically-zero
-    coefficient polynomial; the zero polynomial has no terms and q = 1.
+    Each monomial is ((n_j, P_j), c_j): the exponent's numerator over q,
+    the power vector P_j of the k parameters and a nonzero Fraction c_j.
+    q is the lcm of the exponents' reduced denominators.  Monomials are
+    stored by decreasing exponent, then increasing power vector, so the
+    representation is canonical and equality is structural; the zero
+    polynomial has no terms and q = 1.
     """
 
     k: int
     q: int
-    terms: tuple[tuple[int, ParamPolynomial], ...]
+    terms: tuple[tuple[tuple[int, tuple[int, ...]], Fraction], ...]
 
     @staticmethod
     def _canonical(k: int, q: int, pairs) -> "RealExpPoly":
-        """Merged (numerator over q, coefficient) pairs, q put in lowest terms."""
-        terms = _merged(pairs, ParamPolynomial.zero(k), reverse=True)
-        g = math.gcd(q, *(n for n, _ in terms))
+        """Monomials with repeated keys summed and zeros dropped, q put in lowest terms."""
+        acc: dict = {}
+        for key, c in pairs:
+            acc[key] = acc[key] + c if key in acc else c
+        terms = tuple(sorted(((key, c) for key, c in acc.items() if c), key=_monomial_order))
+        g = math.gcd(q, *(n for (n, _), _ in terms))
         if g > 1:
             q //= g
-            terms = tuple((n // g, c) for n, c in terms)
+            terms = tuple(((n // g, p), c) for (n, p), c in terms)
         return RealExpPoly(k, q, terms)
 
     @staticmethod
     def make(k: int, entries) -> "RealExpPoly":
         """From (exponent, coefficient) pairs or an {exponent: coefficient}
-        mapping; repeated exponents are summed."""
+        mapping.  A coefficient is a rational (a constant) or a {power
+        vector: rational} mapping; repeated exponents are summed."""
         checked = []
         for exp, coeff in entries.items() if isinstance(entries, Mapping) else entries:
             exp = _as_fraction(exp)
             if exp < 0:
                 raise ValueError(f"negative exponent {exp}")
-            if coeff.k != k:
-                raise ValueError("coefficient parameter-count mismatch")
-            checked.append((exp, coeff))
-        q = math.lcm(*(e.denominator for e, _ in checked))
-        return RealExpPoly._canonical(k, q, [(e.numerator * (q // e.denominator), c) for e, c in checked])
+            for powers, c in coeff.items() if isinstance(coeff, Mapping) else [((0,) * k, coeff)]:
+                powers = tuple(int(p) for p in powers)
+                if len(powers) != k:
+                    raise ValueError(f"power vector {powers} does not have {k} entries")
+                if any(p < 0 for p in powers):
+                    raise ValueError(f"negative parameter power in {powers}")
+                checked.append((exp, powers, _as_fraction(c)))
+        q = math.lcm(*(e.denominator for e, _, _ in checked))
+        return RealExpPoly._canonical(k, q, [((e.numerator * (q // e.denominator), p), c) for e, p, c in checked])
 
     @staticmethod
     def zero(k: int) -> "RealExpPoly":
         return RealExpPoly(k, 1, ())
 
-    def exponent_terms(self) -> tuple[tuple[Fraction, ParamPolynomial], ...]:
-        """The terms with each exponent as a Fraction."""
-        return tuple((Fraction(n, self.q), c) for n, c in self.terms)
+    def exponent_terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(exponent, coefficient) per monomial, the exponent a Fraction.
+        Power vectors are left out, so this is all of f only when k = 0."""
+        return tuple((Fraction(n, self.q), c) for (n, _), c in self.terms)
+
+    def _groups(self) -> list[tuple[int, list]]:
+        """(numerator, [(power vector, coefficient), ...]) per exponent, in term order."""
+        return [(n, [(p, c) for (_, p), c in group]) for n, group in groupby(self.terms, key=lambda m: m[0][0])]
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant_in_t(self) -> bool:
-        return not self.terms or self.terms[0][0] == 0
+        return not self.terms or self.terms[0][0][0] == 0
 
     def is_fractional(self) -> bool:
         """True iff every term with positive exponent has a non-integer exponent."""
-        return all(n % self.q for n, _ in self.terms if n > 0)
+        return all(n % self.q for (n, _), _ in self.terms if n > 0)
 
     def fractional_degree(self) -> Fraction:
         """Largest exponent carrying a nonzero coefficient; -1 for the zero polynomial."""
         if not self.terms:
             return Fraction(-1)
-        return Fraction(self.terms[0][0], self.q)
+        return Fraction(self.terms[0][0][0], self.q)
 
     def degree(self) -> int:
         """Integer part of the fractional degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return self.terms[0][0] // self.q
+        return self.terms[0][0][0] // self.q
 
     def __add__(self, other: "RealExpPoly") -> "RealExpPoly":
         if self.k != other.k:
             raise ValueError("parameter-count mismatch")
         q = math.lcm(self.q, other.q)
-        pairs = [(n * (q // f.q), c) for f in (self, other) for n, c in f.terms]
+        pairs = [((n * (q // f.q), p), c) for f in (self, other) for (n, p), c in f.terms]
         return RealExpPoly._canonical(self.k, q, pairs)
 
     def __neg__(self) -> "RealExpPoly":
-        return RealExpPoly(self.k, self.q, tuple((n, -c) for n, c in self.terms))
+        return RealExpPoly(self.k, self.q, tuple((key, -c) for key, c in self.terms))
 
     def __sub__(self, other: "RealExpPoly") -> "RealExpPoly":
         return self + (-other)
 
     def widen(self) -> "RealExpPoly":
-        return RealExpPoly(self.k + 1, self.q, tuple((n, c.widen()) for n, c in self.terms))
+        """Reinterpret over k+1 parameters (the new last one unused)."""
+        return RealExpPoly(self.k + 1, self.q, tuple(((n, p + (0,)), c) for (n, p), c in self.terms))
 
     def eval(self, h: Sequence[int], t):
         """Numeric value at integer parameters h and real t > 0, or at
         every entry of an array of such t.
 
-        Coefficients are evaluated exactly as rationals; only the final
-        t-power combination is floating point, 0.0 + sum c * t**e in
-        term order.
+        Each exponent's coefficient is summed exactly as a rational at h;
+        only the final t-power combination is floating point,
+        0.0 + sum c * t**e in term order.
         """
+        if len(h) != self.k:
+            raise ValueError(f"expected {self.k} parameter values, got {len(h)}")
         t = np.asarray(t, dtype=np.float64) if np.ndim(t) else float(t)
         if np.any(t <= 0):
             raise ValueError(f"t must be positive, got {t}")
         total = 0.0
-        for n, coeff in self.terms:
-            c = coeff.evaluate(h)
-            if c != 0:
+        for n, monomials in self._groups():
+            value = sum(c * math.prod(Fraction(b) ** p for b, p in zip(h, powers)) for powers, c in monomials)
+            if value != 0:
                 # int true division is correctly rounded: n / q == float(Fraction(n, q))
-                total += float(c) * t ** (n / self.q)
+                total += float(value) * t ** (n / self.q)
         return total
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for n, coeff in self.terms:
+        for n, monomials in self._groups():
+            coeff = _coeff_str(monomials)
+            e = _frac_str(n, self.q).removesuffix("/1")
             if n == 0:
                 parts.append(f"({coeff})")
+            elif coeff == "1":
+                parts.append(f"t^({e})")
+            elif coeff == "-1":
+                parts.append(f"-t^({e})")
+            elif len(monomials) == 1:
+                parts.append(f"{coeff}*t^({e})")
             else:
-                e = _frac_str(n, self.q).removesuffix("/1")
-                if coeff.monomials == ParamPolynomial.constant(self.k, 1).monomials:
-                    parts.append(f"t^({e})")
-                elif coeff.monomials == ParamPolynomial.constant(self.k, -1).monomials:
-                    parts.append(f"-t^({e})")
-                elif len(coeff.monomials) == 1:
-                    parts.append(f"{coeff}*t^({e})")
-                else:
-                    parts.append(f"({coeff})*t^({e})")
+                parts.append(f"({coeff})*t^({e})")
         return _join_signed(parts)
 
 
@@ -319,38 +266,25 @@ class Family:
         return max(f.fractional_degree() for f in self.functions)
 
 
-# ---------------------------------------------------------------------------
-# construction helpers, mainly for tests and the CLI
-
-def rexp_poly(k: int, terms: Mapping[RationalLike, object]) -> RealExpPoly:
-    """Build a RealExpPoly from {exponent: coefficient} where the
-    coefficient may be a rational (meaning a constant), a power-vector
-    mapping, or a ready ParamPolynomial."""
-    def coefficient(c) -> ParamPolynomial:
-        if isinstance(c, ParamPolynomial):
-            return c
-        if isinstance(c, Mapping):
-            return ParamPolynomial.make(k, c)
-        return ParamPolynomial.constant(k, c)
-
-    return RealExpPoly.make(k, [(exp, coefficient(c)) for exp, c in terms.items()])
+# {exponent: coefficient} to a RealExpPoly, mainly for tests and the CLI.
+rexp_poly = RealExpPoly.make
 
 
 # ---------------------------------------------------------------------------
 # the calculus
 
 def _head(f: RealExpPoly, num: int, den: int = 1) -> tuple:
-    """f's terms of exponent >= num/den, as (denominator, terms) in lowest
-    terms.  Terms are canonical, so f - g has nothing at that exponent or
-    above exactly when these slices agree."""
-    terms = tuple(term for term in f.terms if term[0] * den >= num * f.q)
-    g = math.gcd(f.q, *(n for n, _ in terms))
-    return (f.q // g, tuple((n // g, c) for n, c in terms) if g > 1 else terms)
+    """f's monomials of exponent >= num/den, as (denominator, monomials) in
+    lowest terms.  Monomials are canonical, so f - g has nothing at that
+    exponent or above exactly when these slices agree."""
+    terms = tuple(term for term in f.terms if term[0][0] * den >= num * f.q)
+    g = math.gcd(f.q, *(n for (n, _), _ in terms))
+    return (f.q // g, tuple(((n // g, p), c) for (n, p), c in terms) if g > 1 else terms)
 
 
 def _leading(polys: Iterable[RealExpPoly], q: int) -> list[int]:
     """The fractional degrees (-1 for zero) as int numerators over q, a multiple of every f.q."""
-    return [f.terms[0][0] * (q // f.q) if f.terms else -q for f in polys]
+    return [f.terms[0][0][0] * (q // f.q) if f.terms else -q for f in polys]
 
 
 def equivalent(a: RealExpPoly, b: RealExpPoly) -> bool:
@@ -370,7 +304,7 @@ def is_nice(fam: Family) -> bool:
         return False
     # first - f is constant in t exactly when the two share every term of
     # positive exponent, that is every term at or above the least one.
-    low = min(n * (q // f.q) for f in fam for n, _ in f.terms if n > 0)
+    low = min(n * (q // f.q) for f in fam for (n, _), _ in f.terms if n > 0)
     head = _head(fam[0], low, q)
     return all(_head(f, low, q) != head for f in fam.functions[1:])
 
@@ -387,16 +321,15 @@ def taylor_shift(f: RealExpPoly) -> RealExpPoly:
     coefficients stay rational.  Terms whose exponent would go negative
     belong to the remainder and are excluded.
     """
-    k1, q = f.k + 1, f.q
+    q = f.q
     pairs = []
-    for n, coeff in f.terms:
-        pairs.append((n, coeff.widen()))
+    for (n, p), c in f.terms:
+        pairs.append(((n, p + (0,)), c))
         binom = Fraction(1)  # binom(n/q, j)
         for j in range(1, n // q + 1):
             binom = binom * Fraction(n - (j - 1) * q, q * j)
-            shifted = tuple((p + (j,), binom * c) for p, c in coeff.monomials)
-            pairs.append((n - j * q, ParamPolynomial(k1, shifted)))
-    return RealExpPoly._canonical(k1, q, pairs)
+            pairs.append(((n - j * q, p + (j,)), binom * c))
+    return RealExpPoly._canonical(f.k + 1, q, pairs)
 
 
 def vdc_op(fam: Family, index: int) -> Family:
@@ -559,14 +492,14 @@ def _frac_str(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def _coeff_to_json(c: ParamPolynomial) -> list:
-    return [{"c": _frac_str(*coeff.as_integer_ratio()), "powers": list(p)} for p, coeff in c.monomials]
-
-
 def _poly_to_json(f: RealExpPoly) -> dict:
     return {
         "terms": [
-            {"exponent": _frac_str(n, f.q), "coeff": _coeff_to_json(c)} for n, c in f.terms
+            {
+                "exponent": _frac_str(n, f.q),
+                "coeff": [{"c": _frac_str(*c.as_integer_ratio()), "powers": list(p)} for p, c in monomials],
+            }
+            for n, monomials in f._groups()
         ]
     }
 
@@ -608,10 +541,10 @@ def family_from_json(data: dict) -> Family:
         entries = []
         for term in json_field(fn, "terms", json_list):
             exp = json_field(term, "exponent", _as_fraction)
-            coeff = ParamPolynomial.make(k, [
-                (json_field(m, "powers", _powers), json_field(m, "c", _as_fraction))
-                for m in json_field(term, "coeff", json_list)
-            ])
+            coeff: dict = {}
+            for m in json_field(term, "coeff", json_list):
+                powers = json_field(m, "powers", _powers)
+                coeff[powers] = coeff.get(powers, 0) + json_field(m, "c", _as_fraction)
             entries.append((exp, coeff))
         functions.append(RealExpPoly.make(k, entries))
     return Family(tuple(functions))

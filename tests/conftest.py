@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from fracergo.fracpoly import Family, RealExpPoly, ParamPolynomial, is_nice, is_fractional_family
+from fracergo.fracpoly import Family, RealExpPoly, is_nice, is_fractional_family
 from fracergo.primes import sieve
 
 # Large enough for the 100000-th prime (1299709) and a 10^6 singular
@@ -68,13 +68,13 @@ def nice_family_gen():
                     num -= den
                 return Fraction(num, den)
 
-            def rand_coeff() -> ParamPolynomial:
+            def rand_coeff() -> dict:
                 entries = {}
                 for _ in range(int(rng.integers(1, 3))):
                     powers = tuple(int(rng.integers(0, 3)) for _ in range(k))
                     c = int(rng.integers(-5, 6)) or 1
                     entries[powers] = entries.get(powers, 0) + c
-                return ParamPolynomial.make(k, entries)
+                return entries
 
             members = []
             for i in range(ell):
