@@ -47,8 +47,8 @@ def _float_list(text: str) -> list[float]:
             continue
         try:
             out.append(float(Fraction(piece)))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"not a number: {piece!r}")
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"not a finite number: {piece!r}")
     if not out:
         raise ValueError("empty list")
     return out

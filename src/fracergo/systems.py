@@ -116,7 +116,12 @@ def parse_system(text: str) -> SystemSpec:
             raise ValueError("cyclic needs a modulus, e.g. cyclic:5")
         return Cyclic(int(param))
     if name in _TORI:
-        return _TORI[name](float(param)) if param else _TORI[name]()
+        if not param:
+            return _TORI[name]()
+        alpha = float(param)
+        if not math.isfinite(alpha):
+            raise ValueError(f"{name} angle must be finite, got {param!r}")
+        return _TORI[name](alpha)
     raise ValueError(f"unknown system {text!r}")
 
 
@@ -282,6 +287,8 @@ def fejer_arc(beta: float, n_terms: int) -> FourierPoly:
     """
     if not 0 < beta < 1:
         raise ValueError("arc length must lie in (0, 1)")
+    if n_terms < 0:
+        raise ValueError(f"arc order must be non-negative, got {n_terms}")
     entries: list[tuple[tuple[int, ...], complex]] = [((0,), complex(beta))]
     for k in range(1, n_terms + 1):
         hat = (1 - e(-k * beta)) / (2j * math.pi * k)

@@ -491,6 +491,41 @@ def test_recurrence_set_errors_exit_one(tmp_path, capsys, g, system, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("command, system", [
+    ("jointavg", "rotation:inf"),
+    ("recurrence", "skew:-inf"),
+    ("seminorm", "rotation:inf"),
+])
+def test_non_finite_angle_exits_one(tmp_path, capsys, command, system):
+    argv = [command, "--system", system, "--N", "10", "--out", str(tmp_path)]
+    if command != "seminorm":
+        argv += ["--family", write_family(tmp_path / "fam.json", [{F(3, 2): 1}])]
+    assert main(argv) == 1
+    name, _, alpha = system.partition(":")
+    assert capsys.readouterr().err.startswith(f"error: {name} angle must be finite, got {alpha!r}")
+
+
+def test_overflowing_frequency_is_a_usage_error(tmp_path, capsys):
+    # as --t nan is: argparse's usage error, exit 2
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    with pytest.raises(SystemExit) as stop:
+        main(["equidist", "--family", fam, "--N", "10", "--t", "1e400", "--out", str(tmp_path)])
+    assert stop.value.code == 2
+    assert "argument --t: invalid _float_list value: '1e400'" in capsys.readouterr().err
+
+
+def test_negative_arc_order_exits_one(tmp_path, capsys):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    rc = main(["recurrence", "--system", "rotation", "--g", "arc:0.3:-5", "--family", fam,
+               "--N", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: arc order must be non-negative, got -5")
+    assert not (tmp_path / "recurrence.csv").exists()
+    # order 0 is the arc's integral, the constant beta
+    f = systems.fejer_arc(0.3, 0)
+    assert f.freqs.tolist() == [[0]] and f.amps.tolist() == [0.3]
+
+
 def test_parameterized_family_rejected(tmp_path):
     fam = Family((rexp_poly(1, {F(3, 2): {(1,): 1}}),))
     p = tmp_path / "fam.json"
