@@ -79,7 +79,7 @@ def _monomial_order(term) -> tuple:
 
 
 def _coeff_str(monomials) -> str:
-    """A coefficient polynomial from its (power vector, rational) pairs."""
+    """The text of a coefficient polynomial given by its (power vector, rational) pairs."""
     parts = []
     for powers, c in monomials:
         vars_part = "".join(f"h{i+1}" + (f"^{p}" if p > 1 else "") for i, p in enumerate(powers) if p > 0)
@@ -210,7 +210,7 @@ class RealExpPoly:
             raise ValueError(f"t must be positive, got {t}")
         total = 0.0
         for n, monomials in self._groups():
-            value = sum(c * math.prod(Fraction(b) ** p for b, p in zip(h, powers)) for powers, c in monomials)
+            value = sum(math.prod((Fraction(b) ** p for b, p in zip(h, powers)), start=c) for powers, c in monomials)
             if value != 0:
                 # int true division is correctly rounded: n / q == float(Fraction(n, q))
                 total += float(value) * t ** (n / self.q)
