@@ -7,7 +7,9 @@ arithmetic support (``primes``: sieve, von Mangoldt weights, tuple
 counts, singular series), three concrete systems with closed-form
 iteration (``systems``), seminorm estimators (``seminorms``), the
 averaging experiments themselves (``averages``), and a command line
-front end (``cli``).
+front end (``cli``).  Every part is run by the command line; the paper's
+checks that only the tests run (tuple bounds, star tuples, the finitary
+van der Corput inequality) live with the tests.
 """
 
 from .fracpoly import (

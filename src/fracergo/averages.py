@@ -65,17 +65,13 @@ __all__ = [
     "MultiAverage",
     "RecurrenceProfile",
     "ExperimentResult",
-    "InvariantViolation",
     "iterate_value",
     "iterate_values",
     "weight_values",
     "weyl_sum",
     "multi_average",
     "recurrence_profile",
-    "delta_average_experiment",
     "cfprime_experiment",
-    "vdc_inequality_check",
-    "l_n",
 ]
 
 GUARD_ABS = 1e-9
@@ -87,10 +83,6 @@ GUARD_ULPS = 8
 # Indices n per block of the torus contraction: one (CHUNK x terms)
 # character matrix per iterate is alive at a time.
 CHUNK = 1 << 12
-
-
-class InvariantViolation(RuntimeError):
-    """A quantity that must hold by proof failed numerically."""
 
 
 @dataclass(frozen=True)
@@ -542,6 +534,8 @@ def recurrence_profile(
     N_list = [int(n) for n in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("average lengths must increase")
+    if any(n < 1 for n in N_list):
+        raise ValueError("empty average")
     _check_observable(sys, g)
     _require_real(sys, g)
     mu = integrate(sys, g)
@@ -578,45 +572,6 @@ class ExperimentResult:
         lengths = [n for n, _ in self.series]
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("average lengths must increase")
-
-
-def l_n(N: int) -> int:
-    """Slowly growing shift range floor(exp(sqrt(log N)))."""
-    if N < 1:
-        raise ValueError("length must be positive")
-    return math.floor(math.exp(math.sqrt(math.log(N))))
-
-
-def delta_average_experiment(
-    sys: SystemSpec,
-    iterates: Sequence[IterateSpec],
-    functions: Sequence,
-    k: int,
-    N_list: Sequence[int],
-    table: Optional[PrimeTable] = None,
-) -> ExperimentResult:
-    """Cube-difference averages with the shift tuple swept over
-    [l_n(N)]^k: the L^2 norm sits inside the shift average, not outside,
-    and the benchmark is zero.
-    """
-    if k < 1:
-        raise ValueError("need at least one shift coordinate")
-    t0 = time.monotonic()
-    series = []
-    for N in N_list:
-        L = l_n(N)
-        dists = []
-        for shifts in itertools.product(range(1, L + 1), repeat=k):
-            r = multi_average(sys, iterates, functions, DeltaVonMangoldt(shifts), N, table)
-            dists.append(r.distance)
-        series.append((int(N), float(np.mean(dists))))
-    meta = {
-        "kind": "delta_average",
-        "system": describe(sys),
-        "iterates": [s.describe() for s in iterates],
-        "shift_coordinates": k,
-    }
-    return ExperimentResult(tuple(series), meta, time.monotonic() - t0)
 
 
 def cfprime_experiment(
@@ -664,36 +619,3 @@ def cfprime_experiment(
         "designated": designated,
     }
     return ExperimentResult(tuple(series), meta, time.monotonic() - t0)
-
-
-# ---------------------------------------------------------------------------
-# The finitary van der Corput inequality
-
-def vdc_inequality_check(u: np.ndarray, H: int) -> tuple[float, float]:
-    """Both sides of the finitary averaging inequality for a sequence of
-    vectors, checked and returned.
-
-    u has shape (N, d): N vectors in C^d.  The left side is the squared
-    norm of the mean; the right side is the 2/H leading term plus the
-    triangular sum of shifted inner products.  A numerical violation
-    beyond 1e-9 raises, since the inequality is unconditional.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.ndim != 2 or len(u) == 0:
-        raise ValueError("need a nonempty (N, d) array")
-    N = len(u)
-    if not 1 <= H <= N:
-        raise ValueError("window must satisfy 1 <= H <= N")
-    mean = u.mean(axis=0)
-    lhs = float(np.sum(np.abs(mean) ** 2))
-    norms = float(np.mean(np.sum(np.abs(u) ** 2, axis=1)))
-    tri = 0.0
-    for h in range(1, H):
-        inner = complex(np.sum(u[h:] * np.conj(u[:-h]))) / N
-        tri += (1 - h / H) * inner.real
-    rhs = 2.0 / H * norms + 4.0 / H * tri
-    if lhs > rhs + 1e-9:
-        raise InvariantViolation(f"averaging inequality violated: {lhs} > {rhs}")
-    return lhs, rhs

@@ -72,11 +72,6 @@ def _nth_prime_bound(n: int) -> int:
     return int(x * (math.log(x) + math.log(math.log(x)))) + 10
 
 
-def _load_table(args, limit: int) -> primes.PrimeTable:
-    cache = getattr(args, "cache", None)
-    return primes.sieve(limit, cache)
-
-
 def _iterate_specs(args) -> list[averages.IterateSpec]:
     fam = fracpoly.load_family(args.family)
     if fam.k != 0:
@@ -238,7 +233,7 @@ def _emit(args, name: str, rows: list[tuple], metadata: dict, checks: list[tuple
         "wall_time_s": time.monotonic() - t0,
     }
     _write_json(os.path.join(out_dir, name + ".json"), payload)
-    if getattr(args, "svg", False):
+    if args.svg:
         _write_svg(os.path.join(out_dir, name + ".svg"), rows, name)
     failed = [n for n, ok in checks if not ok]
     for n in failed:
@@ -321,7 +316,7 @@ def _table_for_averages(args, specs, weight, N_list) -> Optional[primes.PrimeTab
         limit = max(limit, Nmax + extra)
     if limit == 0:
         return None
-    return _load_table(args, limit)
+    return primes.sieve(limit, args.cache)
 
 
 def cmd_recurrence(args) -> int:
@@ -422,9 +417,10 @@ def cmd_sieve(args) -> int:
     if args.shifts is not None:
         N_list = _increasing(args.N if args.N is not None else [1000, 10000])
         limit = max(N_list) + max(max(args.shifts), 0)
-        table = _load_table(args, max(limit, 100))
+        table = primes.sieve(max(limit, 100), args.cache)
         rows = [(N, primes.count_prime_tuples(table, N, args.shifts)) for N in N_list]
-        ss = primes.singular_series(args.shifts, args.cutoff, table)
+        cutoff = args.cutoff if args.cutoff is not None else 1000000
+        ss = primes.singular_series(args.shifts, cutoff, table)
         meta["singular_series"] = {
             "value": ss.value,
             "tail_bound": ss.tail_bound,
@@ -432,8 +428,10 @@ def cmd_sieve(args) -> int:
         }
         checks.append(("counts_monotone", all(a[1] <= b[1] for a, b in zip(rows, rows[1:]))))
     else:
+        if args.N is not None or args.cutoff is not None:
+            raise ValueError("--N and --cutoff need --shifts: a plain sieve only counts the primes up to --limit")
         limit = args.limit
-        table = _load_table(args, limit)
+        table = primes.sieve(limit, args.cache)
         count = table.prime_count(limit)
         rows = [(limit, count)]
         if limit >= 17:
@@ -445,7 +443,7 @@ def cmd_sieve(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p, *, system=False, family=False, mode=False, weight=False, n_default=None):
+def _add_common(p, *, system=False, family=False, mode=False, weight=False):
     if system:
         p.add_argument("--system", required=True, help="cyclic:m, rotation[:alpha], or skew[:alpha]")
     if family:
@@ -454,9 +452,7 @@ def _add_common(p, *, system=False, family=False, mode=False, weight=False, n_de
         p.add_argument("--mode", choices=["integers", "primes"], default="integers")
     if weight:
         p.add_argument("--weight", default="none", help="none, lambda, or delta:h1,h2,...")
-    p.add_argument("--N", type=_int_list, default=n_default, help="comma-separated average lengths")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--seed", type=int, default=0, help="recorded in the sidecar; runs are deterministic")
     p.add_argument("--svg", action="store_true", help="also write a line chart")
 
@@ -469,25 +465,33 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("equidist", help="Weyl sum sweeps")
-    _add_common(p, family=True, mode=True, n_default=[1000, 10000, 100000])
+    _add_common(p, family=True, mode=True)
+    p.add_argument("--N", type=_int_list, default=[1000, 10000, 100000], help="comma-separated average lengths")
+    p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--t", type=_float_list, default=None, help="frequencies, one per member (default all 1)")
     p.add_argument("--no-floor", action="store_true", help="use raw values instead of integer parts")
     p.set_defaults(func=cmd_equidist)
 
     p = sub.add_parser("jointavg", help="multicorrelation averages")
-    _add_common(p, system=True, family=True, mode=True, weight=True, n_default=[1000, 10000])
+    _add_common(p, system=True, family=True, mode=True, weight=True)
+    p.add_argument("--N", type=_int_list, default=[1000, 10000], help="comma-separated average lengths")
+    p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--functions", default=None, help="JSON observable file")
     p.add_argument("--cert-degree", type=int, default=None,
                    help="record a seminorm certificate and run the prime-weighted norm series")
     p.set_defaults(func=cmd_jointavg)
 
     p = sub.add_parser("recurrence", help="return-set correlation profiles")
-    _add_common(p, system=True, family=True, mode=True, n_default=[1000, 10000])
+    _add_common(p, system=True, family=True, mode=True)
+    p.add_argument("--N", type=_int_list, default=[1000, 10000], help="comma-separated average lengths")
+    p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--g", default=None, help="indicator:p1,p2,... or arc:beta[:n_terms]")
     p.set_defaults(func=cmd_recurrence)
 
     p = sub.add_parser("seminorm", help="uniformity seminorms and oracles")
     _add_common(p, system=True)
+    p.add_argument("--N", type=_int_list, default=None,
+                   help="truncation lengths on the rotation and skew systems, s-1 for degree s")
     p.add_argument("--functions", default=None, help="JSON observable file (first entry is used)")
     p.add_argument("--s", type=_int_list, default=[2], help="degrees to evaluate")
     p.add_argument("--oracle", action="store_true", help="compare rotation estimates to the coefficient formula")
@@ -502,15 +506,18 @@ def main(argv=None) -> int:
     p = sub.add_parser("sieve", help="prime tables, tuple counts, singular series")
     _add_common(p)
     p.add_argument("--limit", type=int, default=1000000, help="sieve upper bound")
+    p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--shifts", type=_int_list, default=None, help="count n with n+h prime for all shifts h")
-    p.add_argument("--cutoff", type=int, default=1000000, help="singular series truncation")
+    p.add_argument("--N", type=_int_list, default=None,
+                   help="with --shifts: counting lengths (default 1000,10000)")
+    p.add_argument("--cutoff", type=int, default=None,
+                   help="with --shifts: singular series truncation (default 1000000)")
     p.set_defaults(func=cmd_sieve)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, MemoryError, fracpoly.PetError,
-            averages.InvariantViolation) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, fracpoly.PetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -41,7 +41,6 @@ __all__ = [
     "PetTrace",
     "PetError",
     "rexp_poly",
-    "equivalent",
     "is_nice",
     "taylor_shift",
     "vdc_op",
@@ -285,14 +284,6 @@ def _head(f: RealExpPoly, num: int, den: int = 1) -> tuple:
 def _leading(polys: Iterable[RealExpPoly], q: int) -> list[int]:
     """The fractional degrees (-1 for zero) as int numerators over q, a multiple of every f.q."""
     return [f.terms[0][0][0] * (q // f.q) if f.terms else -q for f in polys]
-
-
-def equivalent(a: RealExpPoly, b: RealExpPoly) -> bool:
-    """True iff deg(a) = deg(b) and deg(a - b) is strictly smaller."""
-    if a.k != b.k:
-        raise ValueError("parameter-count mismatch")
-    d = a.degree()
-    return d == b.degree() and d >= 0 and _head(a, d) == _head(b, d)
 
 
 def is_nice(fam: Family) -> bool:

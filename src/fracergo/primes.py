@@ -1,5 +1,5 @@
-"""Prime sieving, the prime-restricted von Mangoldt function, tuple
-counts, singular series, and the cube/star tuple machinery.
+"""Prime sieving, the prime-restricted von Mangoldt function and its
+product over a shift cube, tuple counts, and singular series.
 
 The sieve is a plain numpy Eratosthenes with an optional on-disk cache
 (one bit per odd integer, see ``save_table``/``load_table``).  The
@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -26,16 +26,10 @@ __all__ = [
     "load_table",
     "von_mangoldt_cube",
     "cube",
-    "is_star",
     "count_prime_tuples",
     "nu_p",
     "SingularSeries",
     "singular_series",
-    "twin_series_batch",
-    "check_tuple_bound",
-    "avg_singular_sq",
-    "star_complement_count",
-    "check_cor_primes",
 ]
 
 CACHE_MAGIC = b"FRGOSV01"
@@ -200,11 +194,6 @@ def cube(shifts: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_star(shifts: Sequence[int]) -> bool:
-    c = cube(shifts)
-    return len(set(c)) == len(c)
-
-
 # ---------------------------------------------------------------------------
 # tuple counts and singular series
 
@@ -284,134 +273,3 @@ def singular_series(
         value *= math.exp(float(np.sum(np.log(factors))))
     tail = abs(value) * math.expm1(k * k / prime_cutoff)
     return SingularSeries(value, tail, prime_cutoff)
-
-
-def twin_series_batch(H: int, prime_cutoff: int, table: Optional[PrimeTable] = None) -> np.ndarray:
-    """Values of the truncated pair series at (0, h) for h = 1..H, via the
-    multiplicative closed form.
-
-    For p = 2 the factor vanishes unless h is even; for odd p the factor
-    depends only on whether p divides h, which turns the product into a
-    constant times a correction over the odd prime divisors of h.  Needs
-    prime_cutoff >= H so every divisor is inside the truncation range.
-    """
-    if prime_cutoff < H:
-        raise ValueError("prime_cutoff must cover every h (divisors up to H matter)")
-    if table is None or table.limit < prime_cutoff:
-        table = sieve(prime_cutoff)
-    ps = table.primes[(table.primes <= prime_cutoff) & (table.primes > 2)].astype(np.float64)
-    base = 2.0 * math.exp(float(np.sum(np.log1p(-1.0 / (ps - 1.0) ** 2))))
-    # Smallest-prime-factor table up to H for the divisor corrections.
-    spf = np.zeros(H + 1, dtype=np.int64)
-    for p in range(2, H + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    out = np.zeros(H + 1)
-    for h in range(2, H + 1, 2):
-        m = h
-        corr = 1.0
-        while m > 1:
-            p = int(spf[m])
-            if p > 2:
-                corr *= (p - 1.0) / (p - 2.0)
-            while m % p == 0:
-                m //= p
-        out[h] = base * corr
-    return out[1:]
-
-
-class TupleBoundCheck(NamedTuple):
-    count: int
-    series: float
-    expected: float
-    ratio: float
-    ok: bool
-    degenerate: bool
-
-
-def check_tuple_bound(
-    table: PrimeTable,
-    N: int,
-    shifts: Sequence[int],
-    C_k: float,
-    prime_cutoff: int = 10_000,
-) -> TupleBoundCheck:
-    """Compare the tuple count against C_k * series * N / (log N)^k.
-
-    A vanishing series with a nonzero count is possible at desk scale
-    (degenerate tuples like (0,1) admit one early solution); it is
-    reported via ``degenerate`` rather than asserted away.
-    """
-    k = len(shifts)
-    count = count_prime_tuples(table, N, shifts)
-    g = singular_series(shifts, prime_cutoff, table).value
-    expected = g * N / math.log(N) ** k
-    if expected == 0.0:
-        degenerate = True
-        ratio = 0.0 if count == 0 else math.inf
-    else:
-        degenerate = False
-        ratio = count / expected
-    return TupleBoundCheck(count, g, expected, ratio, ratio <= C_k, degenerate)
-
-
-def avg_singular_sq(
-    H: int,
-    ell: int,
-    prime_cutoff: Optional[int] = None,
-    table: Optional[PrimeTable] = None,
-    star_only: bool = False,
-) -> float:
-    """Mean of the squared cube singular series over shift boxes [1,H]^ell.
-
-    ell = 1 uses the multiplicative batch form (cutoff >= H required);
-    ell = 2 evaluates the generic truncated product per tuple, which is
-    why it is restricted to desk-scale H.
-    """
-    if ell not in (1, 2):
-        raise ValueError("only one- and two-dimensional shift boxes are supported")
-    if ell == 1:
-        P = prime_cutoff if prime_cutoff is not None else max(1000, H)
-        vals = twin_series_batch(H, P, table)
-        return float(np.mean(vals**2))
-    P = prime_cutoff if prime_cutoff is not None else max(1000, 4 * H)
-    if table is None or table.limit < P:
-        table = sieve(P)
-    total = 0.0
-    n_used = 0
-    for h1, h2 in product(range(1, H + 1), repeat=2):
-        if star_only and not is_star((h1, h2)):
-            continue
-        g = singular_series(cube((h1, h2)), P, table).value
-        total += g * g
-        n_used += 1
-    return total / n_used
-
-
-def star_complement_count(N: int, ell: int) -> int:
-    """How many shift tuples in [1,N]^ell have a repeated cube coordinate."""
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    if N**ell > 2_000_000:
-        raise ValueError(f"enumeration of {N}^{ell} tuples is out of budget")
-    bad = 0
-    for shifts in product(range(1, N + 1), repeat=ell):
-        if not is_star(shifts):
-            bad += 1
-    return bad
-
-
-def check_cor_primes(
-    table: PrimeTable, shifts: Sequence[int], c: int, N: int
-) -> float:
-    """Empirical mean over n in [1,N] of the cube von Mangoldt product at n+c.
-
-    Only star tuples are accepted: with a repeated cube coordinate the
-    product degenerates to a square and the bound under test does not
-    apply.
-    """
-    if not is_star(shifts):
-        raise ValueError(f"{tuple(shifts)} is not a star tuple")
-    if c < 0:
-        raise ValueError("c must be non-negative")
-    return float(np.mean(von_mangoldt_cube(table, shifts, N + c)[c:]))

@@ -16,13 +16,11 @@ from itertools import product
 import numpy as np
 
 from fracergo.averages import (
-    InvariantViolation,
     IterateSpec,
     Unweighted,
     cfprime_experiment,
     multi_average,
     recurrence_profile,
-    vdc_inequality_check,
     weyl_sum,
 )
 from fracergo.cli import main
@@ -37,7 +35,7 @@ from fracergo.fracpoly import (
     type_vector,
     vdc_op,
 )
-from fracergo.primes import count_prime_tuples, singular_series, twin_series_batch
+from fracergo.primes import count_prime_tuples, singular_series
 from fracergo.seminorms import (
     fourier_seminorm_rotation,
     gowers_norm_cyclic,
@@ -54,6 +52,7 @@ from fracergo.systems import (
     fourier_e,
     indicator,
 )
+from paper_checks import InvariantViolation, twin_series_batch, vdc_inequality_check
 
 
 def spec(exponents, mode="integers"):

@@ -19,13 +19,10 @@ from fracergo.averages import (
     Unweighted,
     VonMangoldt,
     cfprime_experiment,
-    delta_average_experiment,
     iterate_value,
     iterate_values,
-    l_n,
     multi_average,
     recurrence_profile,
-    vdc_inequality_check,
     weight_values,
     weyl_sum,
 )
@@ -49,6 +46,7 @@ from fracergo.systems import (
     l2_norm,
     multiply,
 )
+from paper_checks import delta_average_experiment, l_n, vdc_inequality_check
 
 
 def spec(exponents, mode="integers"):
@@ -726,6 +724,13 @@ def test_recurrence_validation():
         recurrence_profile(Rotation(), g, [], [10])
     with pytest.raises(ValueError):
         RecurrenceProfile(((10, 0.5), (10, 0.6)), 0.25)
+
+
+@pytest.mark.parametrize("sys, g", [(Rotation(), fejer_arc(0.3, 5)), (Cyclic(5), indicator(5, [0]))])
+@pytest.mark.parametrize("N_list", [[0, 10], [-3]])
+def test_recurrence_refuses_lengths_below_one(sys, g, N_list):
+    with pytest.raises(ValueError, match="empty average"):
+        recurrence_profile(sys, g, [spec(SQRT)], N_list)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,17 @@ def test_recurrence_rotation_arc(tmp_path):
     assert all(float(r[1]) > 0 for r in rows)
 
 
+@pytest.mark.parametrize("system", ["rotation", "cyclic:5"])
+@pytest.mark.parametrize("lengths", ["0,10", "-3"])
+def test_recurrence_refuses_lengths_below_one(tmp_path, capsys, system, lengths):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    rc = main(["recurrence", "--system", system, "--family", fam,
+               f"--N={lengths}", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: empty average")
+    assert not (tmp_path / "recurrence.csv").exists()
+
+
 def test_recurrence_rejects_mismatched_set(tmp_path):
     fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
     rc = main([
@@ -334,6 +345,19 @@ def test_sieve_cache_file(tmp_path):
     assert cache.exists()
 
 
+@pytest.mark.parametrize("flags", [["--N", "7"], ["--cutoff", "3"]])
+def test_plain_sieve_refuses_tuple_flags(tmp_path, capsys, flags):
+    rc = main(["sieve", "--limit", "1000", *flags, "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --N and --cutoff need --shifts")
+    assert not (tmp_path / "sieve.csv").exists()
+
+
+def test_sieve_tuple_cutoff_defaults_to_a_million(tmp_path):
+    assert main(["sieve", "--shifts", "0,2", "--N", "100", "--out", str(tmp_path)]) == 0
+    assert read_sidecar(tmp_path, "sieve")["metadata"]["singular_series"]["cutoff"] == 1000000
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting behaviour
 
@@ -374,6 +398,20 @@ def test_seed_recorded_in_sidecar(tmp_path):
     ])
     assert rc == 0
     assert read_sidecar(tmp_path, "equidist")["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["pet", "--family", "fam.json", "--N", "5"],
+    ["pet", "--family", "fam.json", "--cache", "x.bin"],
+    ["seminorm", "--system", "cyclic:5", "--cache", "x.bin"],
+])
+def test_flags_a_command_does_not_read_are_unknown(tmp_path, capsys, argv):
+    # argparse's usage error, exit 2, before any file is read
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--out", str(tmp_path)])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_error_paths_exit_one(tmp_path, capsys):

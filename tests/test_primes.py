@@ -10,20 +10,22 @@ from hypothesis import strategies as st
 
 from fracergo.primes import (
     CACHE_MAGIC,
-    avg_singular_sq,
-    check_cor_primes,
-    check_tuple_bound,
     count_prime_tuples,
     cube,
-    is_star,
     load_table,
     nu_p,
     save_table,
     sieve,
     singular_series,
+    von_mangoldt_array,
+)
+from paper_checks import (
+    avg_singular_sq,
+    check_cor_primes,
+    check_tuple_bound,
+    is_star,
     star_complement_count,
     twin_series_batch,
-    von_mangoldt_array,
 )
 
 def oracle_sieve(limit):
