@@ -6,7 +6,7 @@ Everything here is a finite computation reported as-is: exponential
 (Weyl) sums, multicorrelation averages with their L^2 distance to a
 product benchmark, recurrence profiles for sets of positive measure,
 and the prime-weighted experiment that ties norm decay of an average to
-a seminorm certificate for one of its observables.  Averages and
+a seminorm certificate for its first observable.  Averages and
 recurrence profiles share one n-average on Z/m, the rotation and the
 skew product, along any number of iterates.
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -60,8 +59,9 @@ __all__ = [
     "Unweighted",
     "VonMangoldt",
     "DeltaVonMangoldt",
-    "Bounded",
     "WeightSpec",
+    "parse_weight",
+    "describe_weight",
     "MultiAverage",
     "RecurrenceProfile",
     "ExperimentResult",
@@ -101,9 +101,6 @@ class IterateSpec:
         if self.mode not in ("integers", "primes"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    def describe(self) -> dict:
-        return {"function": str(self.poly), "mode": self.mode}
-
 
 # Weights attached to the averaging index n.  All are evaluated at the
 # summation index itself, also in primes mode where the iterate argument
@@ -131,39 +128,34 @@ class DeltaVonMangoldt:
         object.__setattr__(self, "shifts", tuple(int(h) for h in self.shifts))
 
 
-@dataclass(frozen=True)
-class Bounded:
-    """An explicit bounded sequence, extended cyclically past its end."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ValueError("empty weight sequence")
-        object.__setattr__(self, "values", vals)
+WeightSpec = Union[Unweighted, VonMangoldt, DeltaVonMangoldt]
 
 
-WeightSpec = Union[Unweighted, VonMangoldt, DeltaVonMangoldt, Bounded]
-
-
-def _describe_weight(w: WeightSpec) -> str:
+def describe_weight(w: WeightSpec) -> str:
+    """The ``--weight`` text of a weight; ``parse_weight`` reads it back."""
     if isinstance(w, Unweighted):
         return "none"
     if isinstance(w, VonMangoldt):
         return "lambda"
-    if isinstance(w, DeltaVonMangoldt):
-        return "delta:" + ",".join(str(h) for h in w.shifts)
-    return f"bounded[{len(w.values)}]"
+    return "delta:" + ",".join(str(h) for h in w.shifts)
+
+
+def parse_weight(text: str) -> WeightSpec:
+    """``none``, ``lambda`` or ``delta:h1,h2,...``."""
+    if text == "none":
+        return Unweighted()
+    if text == "lambda":
+        return VonMangoldt()
+    shifts = [h for h in text.removeprefix("delta:").split(",") if h.strip()]
+    if not text.startswith("delta:") or not shifts:
+        raise ValueError(f"unknown weight {text!r}")
+    return DeltaVonMangoldt(tuple(map(int, shifts)))
 
 
 def weight_values(weight: WeightSpec, N: int, table: Optional[PrimeTable] = None) -> np.ndarray:
     """The weight sequence at n = 1, ..., N as a float array."""
     if isinstance(weight, Unweighted):
         return np.ones(N)
-    if isinstance(weight, Bounded):
-        reps = -(-N // len(weight.values))
-        return np.tile(np.asarray(weight.values), reps)[:N]
     if table is None:
         raise ValueError("prime-based weights need a sieve table")
     # The plain weight is the cube product over no shifts.
@@ -377,9 +369,7 @@ def multi_average(
     """
     if len(iterates) != len(functions):
         raise ValueError("one observable per iterate")
-    if not iterates:
-        raise ValueError("empty average")
-    if N < 1:
+    if not iterates or N < 1:
         raise ValueError("empty average")
     for f in functions:
         _check_observable(sys, f)
@@ -566,7 +556,6 @@ def _require_real(sys: SystemSpec, g) -> None:
 class ExperimentResult:
     series: tuple[tuple[int, float], ...]
     metadata: dict
-    wall_time: float
 
     def __post_init__(self):
         lengths = [n for n, _ in self.series]
@@ -581,12 +570,11 @@ def cfprime_experiment(
     s: int,
     N_list: Sequence[int],
     table: Optional[PrimeTable] = None,
-    designated: int = 0,
 ) -> ExperimentResult:
     """Prime-weighted average norms next to a seminorm certificate.
 
     The family supplies the iterate exponents (evaluated at the integer
-    index, weighted by the prime von Mangoldt function).  One designated
+    index, weighted by the prime von Mangoldt function).  The first
     observable gets a degree-s seminorm estimate recorded in the
     metadata; the series is the L^2 norm of the weighted average at each
     length.  Decay of the series with a small certificate, or no decay
@@ -600,10 +588,7 @@ def cfprime_experiment(
         raise ValueError("the iterate family must be nice")
     if len(set(family.functions)) < len(family.functions):
         raise ValueError("family members must be pairwise distinct")
-    if not 0 <= designated < len(funcs):
-        raise ValueError("designated index out of range")
-    t0 = time.monotonic()
-    cert = hk_seminorm_estimate(sys, funcs[designated], s)
+    cert = hk_seminorm_estimate(sys, funcs[0], s)
     specs = [IterateSpec(f, "integers") for f in family.functions]
     series = []
     for N in N_list:
@@ -616,6 +601,5 @@ def cfprime_experiment(
         "seminorm_degree": s,
         "seminorm_schedule": list(cert.N_schedule),
         "seminorm_value": cert.value,
-        "designated": designated,
     }
-    return ExperimentResult(tuple(series), meta, time.monotonic() - t0)
+    return ExperimentResult(tuple(series), meta)

@@ -15,14 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import sys
 import time
+from fractions import Fraction
 from typing import Optional
 
 from . import averages, fracpoly, primes, seminorms, systems
-from .fracpoly import json_field, json_list
+from .fracpoly import json_field, json_int, json_ints, json_list
 
 SCHEMA_VERSION = 2
 
@@ -38,8 +38,6 @@ def _int_list(text: str) -> list[int]:
 
 
 def _float_list(text: str) -> list[float]:
-    from fractions import Fraction
-
     out = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -52,16 +50,6 @@ def _float_list(text: str) -> list[float]:
     if not out:
         raise ValueError("empty list")
     return out
-
-
-def _parse_weight(text: str):
-    if text == "none":
-        return averages.Unweighted()
-    if text == "lambda":
-        return averages.VonMangoldt()
-    if text.startswith("delta:"):
-        return averages.DeltaVonMangoldt(tuple(_int_list(text[len("delta:") :])))
-    raise ValueError(f"unknown weight {text!r}")
 
 
 def _nth_prime_bound(n: int) -> int:
@@ -92,10 +80,6 @@ def _real(value) -> float:
     return value
 
 
-def _integers(value) -> list[int]:
-    return [operator.index(x) for x in json_list(value)]
-
-
 def _complex_pairs(value) -> list[complex]:
     return [complex(_real(re), _real(im)) for re, im in json_list(value)]
 
@@ -113,20 +97,20 @@ def _build_function(desc: dict, sys_spec):
     if isinstance(sys_spec, systems.Cyclic):
         m = sys_spec.m
         if kind == "indicator":
-            return systems.indicator(m, json_field(desc, "points", _integers))
+            return systems.indicator(m, json_field(desc, "points", json_ints))
         if kind == "cyclic":
             return systems.CyclicFunction.make(m, json_field(desc, "values", _complex_pairs))
         raise ValueError(f"function kind {kind!r} does not fit a cyclic system")
     dim = sys_spec.dim
     if kind == "fourier":
         terms = json_field(desc, "terms", json_list)
-        entries = [(tuple(json_field(t, "freq", _integers)), _amplitude(t)) for t in terms]
+        entries = [(json_field(t, "freq", json_ints), _amplitude(t)) for t in terms]
         return systems.FourierPoly.make(dim, entries)
     if kind == "arc":
         if dim != 1:
             raise ValueError("arc functions live on the rotation")
         beta = json_field(desc, "beta", _real)
-        return systems.fejer_arc(beta, json_field(desc, "n_terms", operator.index, 40))
+        return systems.fejer_arc(beta, json_field(desc, "n_terms", json_int, 40))
     raise ValueError(f"function kind {kind!r} does not fit this system")
 
 
@@ -271,7 +255,7 @@ def cmd_jointavg(args) -> int:
     sys_spec = systems.parse_system(args.system)
     specs = _iterate_specs(args)
     funcs = _load_functions(args, sys_spec, len(specs))
-    weight = _parse_weight(args.weight)
+    weight = averages.parse_weight(args.weight)
     N_list = _increasing(args.N)
     if args.cert_degree is not None:
         if args.mode == "primes" or isinstance(weight, averages.DeltaVonMangoldt):
@@ -296,7 +280,7 @@ def cmd_jointavg(args) -> int:
         ok = ok and math.isfinite(r.distance)
         rows.append((N, r.distance))
     meta = {
-        "weight": averages._describe_weight(weight),
+        "weight": averages.describe_weight(weight),
         "benchmark_re": bench.real,
         "benchmark_im": bench.imag,
         "value_column": "l2 distance to the product benchmark",
@@ -359,6 +343,8 @@ def cmd_seminorm(args) -> int:
     sys_spec = systems.parse_system(args.system)
     if args.oracle and not isinstance(sys_spec, systems.Rotation):
         raise ValueError("--oracle compares estimates on the rotation only")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     f = _load_functions(args, sys_spec, 1)[0]
     degrees = _increasing(args.s)
     rows = []
@@ -370,8 +356,6 @@ def cmd_seminorm(args) -> int:
         else:
             schedule = None
             if args.N is not None:
-                if len(args.N) < s - 1:
-                    raise ValueError(f"degree {s} needs {s - 1} truncation lengths")
                 schedule = args.N[: s - 1]
             val = seminorms.hk_seminorm_estimate(sys_spec, f, s, schedule).value
         if args.oracle and s >= 2:

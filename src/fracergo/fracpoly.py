@@ -17,6 +17,7 @@ expansion (``taylor_shift``), the difference operation ``vdc_op``, the
 complexity measure ``type_vector`` and the induction driver
 ``pet_reduce`` which repeatedly rewrites a family until every member has
 fractional degree below one, recording a step-by-step certificate.
+The JSON readers take exact numbers only: a float or a boolean is refused.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ __all__ = [
     "family_to_json",
     "family_from_json",
     "json_field",
+    "json_int",
+    "json_ints",
     "json_list",
     "trace_to_json",
 ]
@@ -62,8 +65,8 @@ class PetError(RuntimeError):
 
 def _as_fraction(x: RationalLike) -> Fraction:
     """An int, a Fraction or a rational string; a float is refused, as its
-    binary value is rarely the rational that was meant."""
-    if isinstance(x, (int, str, Fraction)):
+    binary value is rarely the rational that was meant, and so is a bool."""
+    if isinstance(x, (int, str, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -260,9 +263,6 @@ class Family:
 
     def __iter__(self):
         return iter(self.functions)
-
-    def max_fractional_degree(self) -> Fraction:
-        return max(f.fractional_degree() for f in self.functions)
 
 
 # {exponent: coefficient} to a RealExpPoly, mainly for tests and the CLI.
@@ -521,12 +521,19 @@ def json_list(value) -> list:
     return value
 
 
-def _powers(value) -> tuple[int, ...]:
-    return tuple(operator.index(p) for p in json_list(value))
+def json_int(value) -> int:
+    """An integer; a JSON boolean, which Python counts as one, is refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def json_ints(value) -> tuple[int, ...]:
+    return tuple(map(json_int, json_list(value)))
 
 
 def family_from_json(data: dict) -> Family:
-    k = json_field(data, "k", operator.index)
+    k = json_field(data, "k", json_int)
     functions = []
     for fn in json_field(data, "functions", json_list):
         entries = []
@@ -534,7 +541,7 @@ def family_from_json(data: dict) -> Family:
             exp = json_field(term, "exponent", _as_fraction)
             coeff: dict = {}
             for m in json_field(term, "coeff", json_list):
-                powers = json_field(m, "powers", _powers)
+                powers = json_field(m, "powers", json_ints)
                 coeff[powers] = coeff.get(powers, 0) + json_field(m, "c", _as_fraction)
             entries.append((exp, coeff))
         functions.append(RealExpPoly.make(k, entries))

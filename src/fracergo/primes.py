@@ -2,10 +2,10 @@
 product over a shift cube, tuple counts, and singular series.
 
 The sieve is a plain numpy Eratosthenes with an optional on-disk cache
-(one bit per odd integer, see ``save_table``/``load_table``).  The
-singular series is computed as an honestly truncated Euler product: the
-value comes back together with a rigorous bound on what the discarded
-primes can still change.
+(one bit per odd integer, see ``save_table``/``load_table``); its table
+is read through two arrays, ``is_prime`` and ``primes``.  The singular
+series is an honestly truncated Euler product: the value comes back
+with a rigorous bound on what the discarded primes can still change.
 """
 
 from __future__ import annotations
@@ -51,26 +51,11 @@ class PrimeTable:
     is_prime: np.ndarray
     primes: np.ndarray
 
-    def nth_prime(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("prime indices start at 1")
-        if n > len(self.primes):
-            raise ValueError(
-                f"table up to {self.limit} holds only {len(self.primes)} primes, "
-                f"asked for the {n}-th"
-            )
-        return int(self.primes[n - 1])
-
     def prime_count(self, n: int) -> int:
         """pi(n) for n <= limit."""
         if n > self.limit:
             raise ValueError(f"table covers up to {self.limit}, asked for pi({n})")
         return int(np.searchsorted(self.primes, n, side="right"))
-
-    def contains(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise ValueError(f"{n} outside table range 0..{self.limit}")
-        return bool(self.is_prime[n])
 
 
 def sieve(limit: int, cache_path: Optional[str] = None) -> PrimeTable:

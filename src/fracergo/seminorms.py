@@ -95,7 +95,7 @@ def hk_seminorm_estimate(
     the products raises; no partial value is reported.
     """
     if not 1 <= s <= 3:
-        raise ValueError("estimates are limited to s <= 3 (term growth is squared per level)")
+        raise ValueError(f"estimates take degrees s = 1..3, got {s} (term growth is squared per level)")
     if N_schedule is None:
         N_schedule = DEFAULT_SCHEDULES[s]
     schedule = tuple(int(n) for n in N_schedule)

@@ -11,7 +11,7 @@ integration:
 
 Torus observables are ``FourierPoly``, a pair of read-only arrays (int64
 frequencies, complex128 amplitudes) in one canonical order that every
-torus operation keeps.
+torus operation keeps; nothing here evaluates one at a point.
 
 Character phases like e(k n alpha) are reduced mod 1 in exact integer
 arithmetic on the binary representation of alpha before any float
@@ -199,13 +199,6 @@ class FourierPoly:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return _canonical(self.dim, np.vstack([self.freqs, other.freqs]), np.hstack([self.amps, other.amps]))
-
-    def sup_bound(self) -> float:
-        return float(np.sum(np.abs(self.amps)))
-
-    def value_at(self, x: Sequence[float]) -> complex:
-        phases = self.freqs @ np.asarray(x, dtype=float)
-        return complex(np.sum(self.amps * np.exp(2j * np.pi * phases)))
 
 
 def _check_reach(reach: int) -> None:

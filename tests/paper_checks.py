@@ -11,7 +11,6 @@ public pieces (and ``fracpoly._head``, which defines equivalence).
 
 import itertools
 import math
-import time
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
@@ -201,7 +200,6 @@ def delta_average_experiment(
     """
     if k < 1:
         raise ValueError("need at least one shift coordinate")
-    t0 = time.monotonic()
     series = []
     for N in N_list:
         L = l_n(N)
@@ -213,10 +211,10 @@ def delta_average_experiment(
     meta = {
         "kind": "delta_average",
         "system": describe(sys),
-        "iterates": [s.describe() for s in iterates],
+        "iterates": [{"function": str(s.poly), "mode": s.mode} for s in iterates],
         "shift_coordinates": k,
     }
-    return ExperimentResult(tuple(series), meta, time.monotonic() - t0)
+    return ExperimentResult(tuple(series), meta)
 
 
 def vdc_inequality_check(u: np.ndarray, H: int) -> tuple[float, float]:

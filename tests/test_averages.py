@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fracergo import systems
 from fracergo.averages import (
     CHUNK,
-    Bounded,
     DeltaVonMangoldt,
     ExperimentResult,
     IterateSpec,
@@ -19,9 +18,11 @@ from fracergo.averages import (
     Unweighted,
     VonMangoldt,
     cfprime_experiment,
+    describe_weight,
     iterate_value,
     iterate_values,
     multi_average,
+    parse_weight,
     recurrence_profile,
     weight_values,
     weyl_sum,
@@ -233,12 +234,19 @@ def lam(n):
     return math.log(n)
 
 
-def test_weight_values_unweighted_and_bounded():
+def test_weight_values_unweighted():
     assert weight_values(Unweighted(), 4).tolist() == [1, 1, 1, 1]
-    w = weight_values(Bounded((1.0, 2.0, 3.0)), 7)
-    assert w.tolist() == [1, 2, 3, 1, 2, 3, 1]
-    with pytest.raises(ValueError):
-        Bounded(())
+
+
+@pytest.mark.parametrize("text, weight", [
+    ("none", Unweighted()),
+    ("lambda", VonMangoldt()),
+    ("delta:2", DeltaVonMangoldt((2,))),
+    ("delta:1,-3,0", DeltaVonMangoldt((1, -3, 0))),
+])
+def test_weight_text_reads_back(text, weight):
+    assert parse_weight(text) == weight
+    assert describe_weight(weight) == text
 
 
 def test_weight_values_von_mangoldt(table):
@@ -545,15 +553,6 @@ def test_multi_average_cube_weight_benchmark_is_zero(table):
     assert out.distance == pytest.approx(want, rel=1e-12)
 
 
-def test_multi_average_trivial_weight_equivalence():
-    sys = Rotation()
-    funcs = [fourier_e(1, (1,))]
-    a = multi_average(sys, [spec(SQRT)], funcs, Unweighted(), 100)
-    b = multi_average(sys, [spec(SQRT)], funcs, Bounded((1.0,)), 100)
-    assert a.average.terms == b.average.terms
-    assert a.distance == b.distance
-
-
 def test_multi_average_validation(table):
     sys = Cyclic(3)
     f = indicator(3, [0])
@@ -751,7 +750,6 @@ def test_delta_average_experiment_aggregates(table):
     out = delta_average_experiment(sys, iterates, funcs, 1, [50, 100], table)
     assert out.metadata["kind"] == "delta_average"
     assert out.metadata["shift_coordinates"] == 1
-    assert out.wall_time >= 0.0
     for N, val in out.series:
         L = l_n(N)
         dists = [
@@ -783,16 +781,18 @@ def test_cfprime_experiment_validation(table):
     dup = Family((rexp_poly(0, THREEHALF), rexp_poly(0, THREEHALF)))
     with pytest.raises(ValueError):
         cfprime_experiment(Skew(), dup, [f, f], 2, [100], table)
+    # a nice family whose second and third members are equal
+    dup = Family((rexp_poly(0, {F(5, 2): 1}), rexp_poly(0, THREEHALF), rexp_poly(0, THREEHALF)))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        cfprime_experiment(Skew(), dup, [f, f, f], 2, [100], table)
     fam = Family((rexp_poly(0, THREEHALF),))
     with pytest.raises(ValueError):
         cfprime_experiment(Skew(), fam, [f, f], 2, [100], table)
-    with pytest.raises(ValueError):
-        cfprime_experiment(Skew(), fam, [f], 2, [100], table, designated=1)
 
 
 def test_experiment_result_validation():
     with pytest.raises(ValueError):
-        ExperimentResult(((100, 0.5), (100, 0.4)), {}, 0.0)
+        ExperimentResult(((100, 0.5), (100, 0.4)), {})
 
 
 # ---------------------------------------------------------------------------

