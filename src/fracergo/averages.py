@@ -581,6 +581,8 @@ def cfprime_experiment(
     with a large one, is the pattern the controlling inequality
     predicts.
     """
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError("average lengths must increase")
     funcs = list(functions)
     if len(funcs) != len(family.functions):
         raise ValueError("one observable per family member")
@@ -596,6 +598,7 @@ def cfprime_experiment(
         series.append((int(N), l2_norm(r.average)))
     meta = {
         "kind": "prime_weighted_norms",
+        "weight": describe_weight(VonMangoldt()),
         "system": describe(sys),
         "family": family_to_json(family),
         "seminorm_degree": s,

@@ -1,13 +1,14 @@
 """Command-line front door: one subcommand per experiment family.
 
-Every run writes a CSV (the machine contract: ``N,value`` or
-``N,value_re,value_im``), a JSON sidecar with the full configuration,
-metadata and invariant checks, and optionally a self-contained SVG line
-chart.  CSV output is byte-identical across reruns of the same
-configuration; wall-clock time lives only in the sidecar.
+Each ``cmd_*`` returns ``(rows, metadata, checks)``; ``main`` times the
+run from after parsing and writes a CSV (``N,value`` or
+``N,value_re,value_im``), a JSON sidecar with the configuration, metadata,
+checks and wall time, and optionally an SVG line chart.  CSV output is
+byte-identical across reruns of the same configuration; wall time lives
+only in the sidecar.
 
-Exit code 0 means every invariant asserted during the run passed;
-failures are listed by name on stderr.
+Exit code 0 means every invariant check passed; failures are listed by
+name on stderr.  Refused input exits 1 with ``error: <message>``.
 """
 
 from __future__ import annotations
@@ -61,10 +62,7 @@ def _nth_prime_bound(n: int) -> int:
 
 
 def _iterate_specs(args) -> list[averages.IterateSpec]:
-    fam = fracpoly.load_family(args.family)
-    if fam.k != 0:
-        raise ValueError("iterate families must be parameter-free (k = 0)")
-    return [averages.IterateSpec(f, args.mode) for f in fam]
+    return [averages.IterateSpec(f, args.mode) for f in fracpoly.load_family(args.family)]
 
 
 def _default_function(sys_spec):
@@ -154,12 +152,6 @@ def _write_csv(path: str, rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
-        fh.write("\n")
-
-
 def _write_svg(path: str, rows: list[tuple], title: str) -> None:
     """Minimal self-contained line chart: value (or modulus) against the
     run index, N labels on the x axis."""
@@ -199,24 +191,21 @@ def _write_svg(path: str, rows: list[tuple], title: str) -> None:
         fh.write(svg)
 
 
-def _emit(args, name: str, rows: list[tuple], metadata: dict, checks: list[tuple[str, bool]],
-          t0: float) -> int:
-    out_dir = args.out
+def _emit(args, rows: list[tuple], metadata: dict, checks: list[tuple[str, bool]], t0: float) -> int:
+    name, out_dir = args.cmd, args.out
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, name + ".csv"), rows)
-    config = {
-        k: v for k, v in vars(args).items() if k != "func" and isinstance(v, (str, int, float, bool, list, type(None)))
-    }
     payload = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": name,
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "series": [list(r) for r in rows],
         "metadata": metadata,
         "checks": [{"name": n, "passed": ok} for n, ok in checks],
         "wall_time_s": time.monotonic() - t0,
     }
-    _write_json(os.path.join(out_dir, name + ".json"), payload)
+    with open(os.path.join(out_dir, name + ".json"), "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
     if args.svg:
         _write_svg(os.path.join(out_dir, name + ".svg"), rows, name)
     failed = [n for n, ok in checks if not ok]
@@ -228,8 +217,7 @@ def _emit(args, name: str, rows: list[tuple], metadata: dict, checks: list[tuple
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_equidist(args) -> int:
-    t0 = time.monotonic()
+def cmd_equidist(args):
     specs = _iterate_specs(args)
     ts = args.t if args.t is not None else [1.0] * len(specs)
     if len(ts) != len(specs):
@@ -247,11 +235,10 @@ def cmd_equidist(args) -> int:
         "floored": not args.no_floor,
         "moduli": [abs(complex(r[1], r[2])) for r in rows],
     }
-    return _emit(args, "equidist", rows, meta, [("modulus_bound", ok)], t0)
+    return rows, meta, [("modulus_bound", ok)]
 
 
-def cmd_jointavg(args) -> int:
-    t0 = time.monotonic()
+def cmd_jointavg(args):
     sys_spec = systems.parse_system(args.system)
     specs = _iterate_specs(args)
     funcs = _load_functions(args, sys_spec, len(specs))
@@ -266,10 +253,8 @@ def cmd_jointavg(args) -> int:
         result = averages.cfprime_experiment(
             sys_spec, fam, funcs, args.cert_degree, N_list, table
         )
-        rows = [(N, v) for N, v in result.series]
-        meta = dict(result.metadata)
         checks = [("finite_values", all(math.isfinite(v) for _, v in result.series))]
-        return _emit(args, "jointavg", rows, meta, checks, t0)
+        return list(result.series), result.metadata, checks
     table = _table_for_averages(args, specs, weight, N_list)
     rows = []
     bench = None
@@ -285,7 +270,7 @@ def cmd_jointavg(args) -> int:
         "benchmark_im": bench.imag,
         "value_column": "l2 distance to the product benchmark",
     }
-    return _emit(args, "jointavg", rows, meta, [("finite_values", ok)], t0)
+    return rows, meta, [("finite_values", ok)]
 
 
 def _table_for_averages(args, specs, weight, N_list) -> Optional[primes.PrimeTable]:
@@ -293,18 +278,14 @@ def _table_for_averages(args, specs, weight, N_list) -> Optional[primes.PrimeTab
     limit = 0
     if any(s.mode == "primes" for s in specs):
         limit = _nth_prime_bound(Nmax)
-    if isinstance(weight, (averages.VonMangoldt, averages.DeltaVonMangoldt)):
-        extra = 0
-        if isinstance(weight, averages.DeltaVonMangoldt):
-            extra = max(primes.cube(weight.shifts))
-        limit = max(limit, Nmax + extra)
+    if not isinstance(weight, averages.Unweighted):  # lambda has no shifts: cube(()) == (0,)
+        limit = max(limit, Nmax + max(primes.cube(getattr(weight, "shifts", ()))))
     if limit == 0:
         return None
     return primes.sieve(limit, args.cache)
 
 
-def cmd_recurrence(args) -> int:
-    t0 = time.monotonic()
+def cmd_recurrence(args):
     sys_spec = systems.parse_system(args.system)
     specs = _iterate_specs(args)
     g = _parse_set(args.g, sys_spec)
@@ -317,7 +298,7 @@ def cmd_recurrence(args) -> int:
         "benchmark": profile.benchmark,
         "value_column": "correlation along the iterates",
     }
-    return _emit(args, "recurrence", rows, meta, [("profile_range", ok)], t0)
+    return rows, meta, [("profile_range", ok)]
 
 
 def _parse_set(text: Optional[str], sys_spec):
@@ -338,8 +319,7 @@ def _parse_set(text: Optional[str], sys_spec):
     return _build_function(desc, sys_spec)
 
 
-def cmd_seminorm(args) -> int:
-    t0 = time.monotonic()
+def cmd_seminorm(args):
     sys_spec = systems.parse_system(args.system)
     if args.oracle and not isinstance(sys_spec, systems.Rotation):
         raise ValueError("--oracle compares estimates on the rotation only")
@@ -370,11 +350,10 @@ def cmd_seminorm(args) -> int:
         "value_column": "seminorm value per degree (first column is the degree)",
         "oracle": oracle_vals,
     }
-    return _emit(args, "seminorm", rows, meta, checks, t0)
+    return rows, meta, checks
 
 
-def cmd_pet(args) -> int:
-    t0 = time.monotonic()
+def cmd_pet(args):
     fam = fracpoly.load_family(args.family)
     trace = fracpoly.pet_reduce(fam)
     print(f"family of {len(fam)}, type {fracpoly.type_vector(fam)}")
@@ -391,11 +370,10 @@ def cmd_pet(args) -> int:
     }
     # pet_reduce raises on any descent violation, so reaching this point
     # certifies the strict type decrease.
-    return _emit(args, "pet", rows, meta, [("type_descent", True)], t0)
+    return rows, meta, [("type_descent", True)]
 
 
-def cmd_sieve(args) -> int:
-    t0 = time.monotonic()
+def cmd_sieve(args):
     checks = []
     meta: dict = {}
     if args.shifts is not None:
@@ -404,12 +382,7 @@ def cmd_sieve(args) -> int:
         table = primes.sieve(max(limit, 100), args.cache)
         rows = [(N, primes.count_prime_tuples(table, N, args.shifts)) for N in N_list]
         cutoff = args.cutoff if args.cutoff is not None else 1000000
-        ss = primes.singular_series(args.shifts, cutoff, table)
-        meta["singular_series"] = {
-            "value": ss.value,
-            "tail_bound": ss.tail_bound,
-            "cutoff": ss.cutoff,
-        }
+        meta["singular_series"] = primes.singular_series(args.shifts, cutoff, table)._asdict()
         checks.append(("counts_monotone", all(a[1] <= b[1] for a, b in zip(rows, rows[1:]))))
     else:
         if args.N is not None or args.cutoff is not None:
@@ -421,13 +394,13 @@ def cmd_sieve(args) -> int:
         if limit >= 17:
             checks.append(("prime_count_lower", count >= limit / math.log(limit)))
     meta["limit"] = table.limit
-    return _emit(args, "sieve", rows, meta, checks, t0)
+    return rows, meta, checks
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p, *, system=False, family=False, mode=False, weight=False):
+def _add_common(p, *, system=False, family=False, mode=False, weight=False, cache=False):
     if system:
         p.add_argument("--system", required=True, help="cyclic:m, rotation[:alpha], or skew[:alpha]")
     if family:
@@ -436,6 +409,8 @@ def _add_common(p, *, system=False, family=False, mode=False, weight=False):
         p.add_argument("--mode", choices=["integers", "primes"], default="integers")
     if weight:
         p.add_argument("--weight", default="none", help="none, lambda, or delta:h1,h2,...")
+    if cache:
+        p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=0, help="recorded in the sidecar; runs are deterministic")
     p.add_argument("--svg", action="store_true", help="also write a line chart")
@@ -449,26 +424,23 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("equidist", help="Weyl sum sweeps")
-    _add_common(p, family=True, mode=True)
+    _add_common(p, family=True, mode=True, cache=True)
     p.add_argument("--N", type=_int_list, default=[1000, 10000, 100000], help="comma-separated average lengths")
-    p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--t", type=_float_list, default=None, help="frequencies, one per member (default all 1)")
     p.add_argument("--no-floor", action="store_true", help="use raw values instead of integer parts")
     p.set_defaults(func=cmd_equidist)
 
     p = sub.add_parser("jointavg", help="multicorrelation averages")
-    _add_common(p, system=True, family=True, mode=True, weight=True)
+    _add_common(p, system=True, family=True, mode=True, weight=True, cache=True)
     p.add_argument("--N", type=_int_list, default=[1000, 10000], help="comma-separated average lengths")
-    p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--functions", default=None, help="JSON observable file")
     p.add_argument("--cert-degree", type=int, default=None,
                    help="record a seminorm certificate and run the prime-weighted norm series")
     p.set_defaults(func=cmd_jointavg)
 
     p = sub.add_parser("recurrence", help="return-set correlation profiles")
-    _add_common(p, system=True, family=True, mode=True)
+    _add_common(p, system=True, family=True, mode=True, cache=True)
     p.add_argument("--N", type=_int_list, default=[1000, 10000], help="comma-separated average lengths")
-    p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--g", default=None, help="indicator:p1,p2,... or arc:beta[:n_terms]")
     p.set_defaults(func=cmd_recurrence)
 
@@ -488,9 +460,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_pet)
 
     p = sub.add_parser("sieve", help="prime tables, tuple counts, singular series")
-    _add_common(p)
+    _add_common(p, cache=True)
     p.add_argument("--limit", type=int, default=1000000, help="sieve upper bound")
-    p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--shifts", type=_int_list, default=None, help="count n with n+h prime for all shifts h")
     p.add_argument("--N", type=_int_list, default=None,
                    help="with --shifts: counting lengths (default 1000,10000)")
@@ -499,8 +470,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_sieve)
 
     args = parser.parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        return _emit(args, *args.func(args), t0)
     except (ValueError, KeyError, OSError, MemoryError, fracpoly.PetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

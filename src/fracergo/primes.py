@@ -184,6 +184,8 @@ def cube(shifts: Sequence[int]) -> tuple[int, ...]:
 
 def count_prime_tuples(table: PrimeTable, N: int, shifts: Sequence[int]) -> int:
     """Exact count of n in [1, N] with n + h prime for every shift h."""
+    if N < 0:
+        raise ValueError(f"counting length N must be >= 0, got {N}")
     if len(set(shifts)) != len(shifts):
         raise ValueError("shifts must be distinct")
     top = N + max(shifts)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracergo import systems
+from fracergo import averages, systems
 from fracergo.averages import (
     CHUNK,
     DeltaVonMangoldt,
@@ -788,6 +788,17 @@ def test_cfprime_experiment_validation(table):
     fam = Family((rexp_poly(0, THREEHALF),))
     with pytest.raises(ValueError):
         cfprime_experiment(Skew(), fam, [f, f], 2, [100], table)
+
+
+def test_cfprime_experiment_refuses_decreasing_lengths_before_any_work(table, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the lengths were checked")
+
+    monkeypatch.setattr(averages, "hk_seminorm_estimate", no_work)
+    monkeypatch.setattr(averages, "multi_average", no_work)
+    fam = Family((rexp_poly(0, THREEHALF),))
+    with pytest.raises(ValueError, match="average lengths must increase"):
+        cfprime_experiment(Skew(), fam, [fourier_e(2, (0, 1))], 2, [400, 200], table)
 
 
 def test_experiment_result_validation():

@@ -199,6 +199,16 @@ def test_jointavg_certificate_run(tmp_path):
     assert side["metadata"]["seminorm_schedule"] == [1000]
 
 
+def test_jointavg_certificate_names_the_lambda_weight(tmp_path):
+    # the certificate run is lambda-weighted whatever --weight says
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    assert main(["jointavg", "--system", "rotation", "--family", fam, "--cert-degree", "2",
+                 "--N", "50,100", "--out", str(tmp_path)]) == 0
+    side = read_sidecar(tmp_path, "jointavg")
+    assert side["config"]["weight"] == "none"
+    assert side["metadata"]["weight"] == "lambda"
+
+
 def test_jointavg_custom_functions(tmp_path):
     fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
     fn = write_functions(
@@ -350,6 +360,12 @@ def test_plain_sieve_refuses_tuple_flags(tmp_path, capsys, flags):
     rc = main(["sieve", "--limit", "1000", *flags, "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: --N and --cutoff need --shifts")
+    assert not (tmp_path / "sieve.csv").exists()
+
+
+def test_sieve_refuses_a_negative_counting_length(tmp_path, capsys):
+    assert main(["sieve", "--shifts", "0,2", "--N", "-5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: counting length N must be >= 0, got -5\n"
     assert not (tmp_path / "sieve.csv").exists()
 
 
@@ -583,6 +599,15 @@ def test_parameterized_family_rejected(tmp_path):
     assert rc == 1
 
 
+def test_family_with_shift_parameters_names_the_rule(tmp_path, capsys):
+    p = tmp_path / "fam.json"
+    p.write_text(json.dumps({"k": 1, "functions": [
+        {"terms": [{"exponent": "3/2", "coeff": [{"c": "1", "powers": [1]}]}]}]}))
+    assert main(["jointavg", "--system", "rotation", "--family", str(p), "--N", "10",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: iterate functions take no shift parameters\n"
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.floats(-2, 2) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
@@ -728,3 +753,31 @@ def test_sieve_reads_a_cache_at_exactly_its_limit(tmp_path):
     assert (tmp_path / "sieve.csv").read_text() == first == "N,value\n5000,669\n"
     assert (cache.stat().st_ino, cache.stat().st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
     assert read_sidecar(tmp_path, "sieve")["metadata"]["limit"] == 5000
+
+
+# ---------------------------------------------------------------------------
+# the runner: every subcommand's outputs are written by main
+
+_SMALL_RUNS = {
+    "equidist": ["--family", "{fam}", "--N", "10,100"],
+    "jointavg": ["--system", "rotation", "--family", "{fam}", "--N", "10,100"],
+    "recurrence": ["--system", "cyclic:5", "--family", "{fam}", "--N", "10,100"],
+    "seminorm": ["--system", "skew", "--s", "2,3", "--N", "20,20"],
+    "pet": ["--family", "{fam}"],
+    "sieve": ["--shifts", "0,2", "--N", "100,1000", "--cutoff", "1000"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_every_subcommand_writes_the_same_sidecar_contract(tmp_path, command):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    argv = [a.format(fam=fam) for a in _SMALL_RUNS[command]]
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) == 0
+    _, rows = read_rows(tmp_path / "out", command)
+    side = read_sidecar(tmp_path / "out", command)
+    assert side["subcommand"] == side["config"]["cmd"] == command
+    assert side["series"] == [[json.loads(cell) for cell in row] for row in rows]
+    assert side["schema_version"] == 2
+    assert all(set(c) == {"name", "passed"} and isinstance(c["passed"], bool) for c in side["checks"])
+    assert side["wall_time_s"] >= 0
+    assert "func" not in side["config"]

@@ -222,6 +222,12 @@ def test_count_prime_tuples_any_shifts_vs_trial_division(table, shifts, N):
     assert count_prime_tuples(table, N, shifts) == want
 
 
+def test_count_prime_tuples_refuses_a_negative_length(table):
+    with pytest.raises(ValueError, match="counting length N must be >= 0, got -5"):
+        count_prime_tuples(table, -5, (0, 2))
+    assert count_prime_tuples(table, 0, (0, 2)) == 0
+
+
 def test_count_prime_tuples_validation(table):
     with pytest.raises(ValueError):
         count_prime_tuples(table, 100, (0, 0))
