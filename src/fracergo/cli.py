@@ -126,9 +126,9 @@ def _load_functions(args, sys_spec, count: int) -> list:
     return funcs
 
 
-def _increasing(ns: list[int]) -> list[int]:
+def _increasing(ns: list[int], flag: str) -> list[int]:
     if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("average lengths must be strictly increasing")
+        raise ValueError(f"{flag} must be strictly increasing")
     return ns
 
 
@@ -222,7 +222,7 @@ def cmd_equidist(args):
     ts = args.t if args.t is not None else [1.0] * len(specs)
     if len(ts) != len(specs):
         raise ValueError("need one frequency per family member")
-    N_list = _increasing(args.N)
+    N_list = _increasing(args.N, "--N")
     table = _table_for_averages(args, specs, averages.Unweighted(), N_list)
     rows = []
     ok = True
@@ -243,7 +243,7 @@ def cmd_jointavg(args):
     specs = _iterate_specs(args)
     funcs = _load_functions(args, sys_spec, len(specs))
     weight = averages.parse_weight(args.weight)
-    N_list = _increasing(args.N)
+    N_list = _increasing(args.N, "--N")
     if args.cert_degree is not None:
         if args.mode == "primes" or isinstance(weight, averages.DeltaVonMangoldt):
             raise ValueError("--cert-degree runs over the integers with the lambda weight; "
@@ -289,7 +289,7 @@ def cmd_recurrence(args):
     sys_spec = systems.parse_system(args.system)
     specs = _iterate_specs(args)
     g = _parse_set(args.g, sys_spec)
-    N_list = _increasing(args.N)
+    N_list = _increasing(args.N, "--N")
     table = _table_for_averages(args, specs, averages.Unweighted(), N_list)
     profile = averages.recurrence_profile(sys_spec, g, specs, N_list, table)
     rows = [(N, v) for N, v in profile.series]
@@ -304,6 +304,9 @@ def cmd_recurrence(args):
 def _parse_set(text: Optional[str], sys_spec):
     """--g indicator:p1,p2,... or arc:beta[:n_terms], built as the
     matching --functions descriptor."""
+    if isinstance(sys_spec, systems.Skew):
+        raise ValueError("recurrence refuses every --g on the skew product: "
+                         "indicator sets live on Z/m and arc functions live on the rotation")
     if text is None:
         text = "indicator:0" if isinstance(sys_spec, systems.Cyclic) else "arc:0.3:40"
     kind, _, rest = text.partition(":")
@@ -326,7 +329,7 @@ def cmd_seminorm(args):
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     f = _load_functions(args, sys_spec, 1)[0]
-    degrees = _increasing(args.s)
+    degrees = _increasing(args.s, "--s")
     rows = []
     checks = []
     oracle_vals = {}
@@ -377,17 +380,18 @@ def cmd_sieve(args):
     checks = []
     meta: dict = {}
     if args.shifts is not None:
-        N_list = _increasing(args.N if args.N is not None else [1000, 10000])
-        limit = max(N_list) + max(max(args.shifts), 0)
-        table = primes.sieve(max(limit, 100), args.cache)
-        rows = [(N, primes.count_prime_tuples(table, N, args.shifts)) for N in N_list]
+        N_list = _increasing(args.N if args.N is not None else [1000, 10000], "--N")
         cutoff = args.cutoff if args.cutoff is not None else 1000000
+        # One table for counts and series; --limit is a floor, and so is 2 (a cutoff below is the series' error).
+        limit = max(args.limit or 2, max(N_list) + max(max(args.shifts), 0), cutoff)
+        table = primes.sieve(limit, args.cache)
+        rows = [(N, primes.count_prime_tuples(table, N, args.shifts)) for N in N_list]
         meta["singular_series"] = primes.singular_series(args.shifts, cutoff, table)._asdict()
         checks.append(("counts_monotone", all(a[1] <= b[1] for a, b in zip(rows, rows[1:]))))
     else:
         if args.N is not None or args.cutoff is not None:
             raise ValueError("--N and --cutoff need --shifts: a plain sieve only counts the primes up to --limit")
-        limit = args.limit
+        limit = args.limit if args.limit is not None else 1000000
         table = primes.sieve(limit, args.cache)
         count = table.prime_count(limit)
         rows = [(limit, count)]
@@ -412,7 +416,6 @@ def _add_common(p, *, system=False, family=False, mode=False, weight=False, cach
     if cache:
         p.add_argument("--cache", default=None, help="sieve cache file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="recorded in the sidecar; runs are deterministic")
     p.add_argument("--svg", action="store_true", help="also write a line chart")
 
 
@@ -461,7 +464,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sieve", help="prime tables, tuple counts, singular series")
     _add_common(p, cache=True)
-    p.add_argument("--limit", type=int, default=1000000, help="sieve upper bound")
+    p.add_argument("--limit", type=int, default=None, help="sieve bound (default 1000000); a floor with --shifts")
     p.add_argument("--shifts", type=_int_list, default=None, help="count n with n+h prime for all shifts h")
     p.add_argument("--N", type=_int_list, default=None,
                    help="with --shifts: counting lengths (default 1000,10000)")

@@ -145,10 +145,6 @@ class RealExpPoly:
         q = math.lcm(*(e.denominator for e, _, _ in checked))
         return RealExpPoly._canonical(k, q, [((e.numerator * (q // e.denominator), p), c) for e, p, c in checked])
 
-    @staticmethod
-    def zero(k: int) -> "RealExpPoly":
-        return RealExpPoly(k, 1, ())
-
     def exponent_terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """(exponent, coefficient) per monomial, the exponent a Fraction.
         Power vectors are left out, so this is all of f only when k = 0."""

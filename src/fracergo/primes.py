@@ -228,7 +228,7 @@ def singular_series(
     if k == 0:
         raise ValueError("need at least one value")
     distinct = sorted(set(values))
-    max_diff = distinct[-1] - distinct[0] if len(distinct) > 1 else 0
+    max_diff = distinct[-1] - distinct[0]
     if prime_cutoff < max(2, max_diff):
         raise ValueError(
             f"cutoff {prime_cutoff} below the largest pairwise difference {max_diff}"
@@ -239,24 +239,18 @@ def singular_series(
         return SingularSeries(1.0, 0.0, prime_cutoff)
     if table is None or table.limit < prime_cutoff:
         table = sieve(prime_cutoff)
-    ps = table.primes[table.primes <= prime_cutoff]
-    # Small primes can have coinciding residues; handle them one by one.
-    # Beyond max_diff the values are automatically distinct mod p.
-    small = ps[ps <= max_diff] if max_diff >= 2 else ps[:0]
-    big = ps[len(small):].astype(np.float64)
-    value = 1.0
-    for p in small.tolist():
-        nu = nu_p(p, distinct)
-        value *= (1.0 - 1.0 / p) ** (-k) * (1.0 - nu / p)
-        if value == 0.0:
-            return SingularSeries(0.0, 0.0, prime_cutoff)
-    if len(big):
-        m = len(distinct)
-        factors = (1.0 - 1.0 / big) ** (-k) * (1.0 - m / big)
-        if np.any(factors == 0.0):
-            # A prime equal to the pattern size covers every class.
-            return SingularSeries(0.0, 0.0, prime_cutoff)
-        # Sum the logs pairwise for a deterministic, well-conditioned product.
-        value *= math.exp(float(np.sum(np.log(factors))))
+    ps = table.primes[: table.prime_count(prime_cutoff)]
+    # Up to max_diff residues can coincide; beyond it the values are
+    # distinct mod p, so nu_p is their number.
+    nu = np.full(len(ps), float(len(distinct)))
+    small = ps[ps <= max_diff].tolist()
+    nu[: len(small)] = [nu_p(p, distinct) for p in small]
+    p = ps.astype(np.float64)
+    factors = (1.0 - 1.0 / p) ** (-k) * (1.0 - nu / p)
+    if np.any(factors == 0.0):
+        # Some prime has every class occupied.
+        return SingularSeries(0.0, 0.0, prime_cutoff)
+    # Sum the logs pairwise for a deterministic, well-conditioned product.
+    value = math.exp(float(np.sum(np.log(factors))))
     tail = abs(value) * math.expm1(k * k / prime_cutoff)
     return SingularSeries(value, tail, prime_cutoff)

@@ -22,9 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .systems import (
+    Cyclic,
     CyclicFunction,
     FourierPoly,
     SystemSpec,
+    _check_observable,
     apply_power,
     integrate,
     multiply,
@@ -92,10 +94,14 @@ def hk_seminorm_estimate(
     recursion level, outermost first (s-1 entries).  The evaluation is
     depth-first with exact Fourier arithmetic at every node, so a given
     schedule always returns the same number.  A term-budget overflow in
-    the products raises; no partial value is reported.
+    the products raises; no partial value is reported.  On Z/m with no
+    schedule it is the exact Gowers norm, each level a whole period.
     """
     if not 1 <= s <= 3:
         raise ValueError(f"estimates take degrees s = 1..3, got {s} (term growth is squared per level)")
+    if isinstance(sys, Cyclic) and N_schedule is None:
+        _check_observable(sys, f)
+        return SeminormEstimate(s, gowers_norm_cyclic(f, s), (sys.m,) * (s - 1))
     if N_schedule is None:
         N_schedule = DEFAULT_SCHEDULES[s]
     schedule = tuple(int(n) for n in N_schedule)

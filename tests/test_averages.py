@@ -29,6 +29,7 @@ from fracergo.averages import (
 )
 from fracergo.fracpoly import Family, rexp_poly
 from fracergo.primes import cube
+from fracergo.seminorms import gowers_norm_cyclic
 from fracergo.systems import (
     Cyclic,
     CyclicFunction,
@@ -771,6 +772,16 @@ def test_cfprime_experiment_skew(table):
         VonMangoldt(), 200, table,
     )
     assert out.series[0] == (200, l2_norm(ref.average))
+
+
+def test_cfprime_experiment_certificate_on_cyclic_is_the_exact_norm(table):
+    # On Z/m the whole period closes each level, so the certificate is the
+    # Gowers norm itself, not a truncation at the default schedule.
+    fam = Family((rexp_poly(0, {F(5, 2): 1}), rexp_poly(0, THREEHALF)))
+    f = indicator(3, [0])
+    out = cfprime_experiment(Cyclic(3), fam, [f, f], 2, [100, 200], table)
+    assert out.metadata["seminorm_value"] == gowers_norm_cyclic(f, 2)
+    assert out.metadata["seminorm_schedule"] == [3]
 
 
 def test_cfprime_experiment_validation(table):

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracergo
-from fracergo import systems
+from fracergo import primes, systems
 from fracergo.cli import _build_function, main
 from fracergo.fracpoly import Family, family_from_json, family_to_json, rexp_poly
-from fracergo.primes import count_prime_tuples, sieve
+from fracergo.primes import count_prime_tuples, load_table, sieve
 
 
 def write_family(path, exponent_maps):
@@ -374,6 +374,58 @@ def test_sieve_tuple_cutoff_defaults_to_a_million(tmp_path):
     assert read_sidecar(tmp_path, "sieve")["metadata"]["singular_series"]["cutoff"] == 1000000
 
 
+def test_sieve_tuples_read_one_table_through_the_cache(tmp_path, monkeypatch):
+    calls = []
+
+    def traced(limit, cache_path=None):
+        calls.append((limit, cache_path))
+        return sieve(limit, cache_path)
+
+    monkeypatch.setattr(primes, "sieve", traced)
+    cache = str(tmp_path / "c.bin")
+    assert main(["sieve", "--shifts", "0,2", "--cache", cache, "--out", str(tmp_path)]) == 0
+    # the default cutoff, 10^6, is above the counts' 10002
+    assert calls == [(1000000, cache)]
+    assert read_sidecar(tmp_path, "sieve")["metadata"]["limit"] == 1000000
+    assert load_table(cache).limit == 1000000
+
+
+@pytest.mark.parametrize("limit, want", [(None, 1002), ("500", 1002), ("5000", 5000)])
+def test_sieve_limit_is_a_floor_with_shifts(tmp_path, limit, want):
+    argv = ["sieve", "--shifts", "0,2", "--N", "100,1000", "--cutoff", "1000", "--out", str(tmp_path)]
+    assert main(argv + (["--limit", limit] if limit else [])) == 0
+    side = read_sidecar(tmp_path, "sieve")
+    assert side["metadata"]["limit"] == want
+    assert side["config"]["limit"] == (int(limit) if limit else None)
+
+
+def test_plain_sieve_limit_defaults_to_a_million(tmp_path):
+    assert main(["sieve", "--out", str(tmp_path)]) == 0
+    assert read_rows(tmp_path, "sieve")[1] == [["1000000", "78498"]]
+    assert read_sidecar(tmp_path, "sieve")["config"]["limit"] is None
+
+
+def test_sieve_tuples_name_a_cutoff_below_two(tmp_path, capsys):
+    assert main(["sieve", "--shifts", "0", "--N", "1", "--cutoff", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: cutoff 1 below the largest pairwise difference 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["seminorm", "--system", "cyclic:5", "--s", "3,2"], "--s must be strictly increasing"),
+    (["sieve", "--shifts", "0,2", "--N", "3,1"], "--N must be strictly increasing"),
+])
+def test_decreasing_lists_name_their_flag(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_skew_recurrence_without_a_set_names_the_refusal(tmp_path, capsys):
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    assert main(["recurrence", "--system", "skew", "--family", fam, "--N", "10", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: recurrence refuses every --g on the skew product")
+    assert not (tmp_path / "recurrence.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting behaviour
 
@@ -404,16 +456,6 @@ def test_svg_output(tmp_path):
     svg = (tmp_path / "equidist.svg").read_text()
     assert svg.startswith("<svg")
     assert "polyline" in svg
-
-
-def test_seed_recorded_in_sidecar(tmp_path):
-    fam = write_family(tmp_path / "fam.json", [{2: 1}])
-    rc = main([
-        "equidist", "--family", fam, "--N", "50",
-        "--seed", "7", "--out", str(tmp_path),
-    ])
-    assert rc == 0
-    assert read_sidecar(tmp_path, "equidist")["config"]["seed"] == 7
 
 
 @pytest.mark.parametrize("argv", [

@@ -57,7 +57,7 @@ def test_rexp_poly_rejects_negative_exponent():
 
 
 def test_degree_of_zero():
-    z = RealExpPoly.zero(1)
+    z = RealExpPoly.make(1, {})
     assert z.degree() == -1
     assert z.fractional_degree() == -1
     assert z.is_zero()
@@ -100,10 +100,10 @@ def test_type_vector_pinned_four_member():
 
 
 def test_type_vector_ignores_zero_members():
-    fam = Family((rexp_poly(0, {F(3, 2): 1}), RealExpPoly.zero(0)))
+    fam = Family((rexp_poly(0, {F(3, 2): 1}), RealExpPoly.make(0, {})))
     assert type_vector(fam).as_tuple() == (1, 1, 0)
     with pytest.raises(ValueError):
-        type_vector(Family((RealExpPoly.zero(0),)))
+        type_vector(Family((RealExpPoly.make(0, {}),)))
 
 
 def test_type_vector_requires_top_class():
@@ -364,7 +364,7 @@ def test_add_neg_roundtrip(entries):
         terms[exp] = terms.get(exp, 0) + c
     f = rexp_poly(0, terms)
     assert (f - f).is_zero()
-    assert f + RealExpPoly.zero(0) == f
+    assert f + RealExpPoly.make(0, {}) == f
     assert -(-f) == f
 
 

@@ -6,7 +6,10 @@ method and property of its classes: the walk starts at ``main``, and
 each definition it reaches adds every name and attribute that its source
 mentions.  A method is reached only through an attribute (``x.name``);
 a plain name such as ``describe(sys)`` reaches the top-level
-``describe`` alone.  Dunder methods run with their class.  Checks that
+``describe`` alone.  An attribute of a class defined here
+(``FourierPoly.make``, ``systems.FourierPoly.make``) reaches that
+class's member only; any other receiver reaches every member so named.
+Dunder methods run with their class.  Checks that
 only the tests run live in ``tests/paper_checks.py``.
 """
 
@@ -49,43 +52,58 @@ def _definitions() -> tuple[dict[str, list[ast.AST]], dict[str, list[tuple[str, 
     return defs, members
 
 
-def _mentioned(node: ast.AST) -> tuple[set[str], set[str]]:
-    """Plain names and attribute names in a definition's source; a class
-    contributes its fields and dunders, not its members' bodies."""
-    names, attrs = set(), set()
+def _mentioned(node: ast.AST, classes: set[str]) -> tuple[set[str], set[str], set[tuple[str, str]]]:
+    """Plain names, attribute names on other receivers, and (class,
+    attribute) pairs on a receiver named after one of ``classes``, in a
+    definition's source; a class contributes its fields and dunders, not
+    its members' bodies."""
+    names, attrs, owned = set(), set(), set()
     todo = [node]
     while todo:
         sub = todo.pop()
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            attrs.add(sub.attr)
+            receiver = getattr(sub.value, "id", getattr(sub.value, "attr", None))
+            if receiver in classes:
+                owned.add((receiver, sub.attr))
+            else:
+                attrs.add(sub.attr)
         children = ast.iter_child_nodes(sub)
         if isinstance(sub, ast.ClassDef):
             children = (c for c in children if not _is_member(c))
         todo.extend(children)
-    return names, attrs
+    return names, attrs, owned
 
 
 def _unreached() -> list[str]:
     """Top-level names and Class.member names that the walk from main misses."""
     defs, members = _definitions()
-    reached: set[tuple[str, str]] = set()
-    todo = [("name", "main")]
+    classes = {name for name, nodes in defs.items() if any(isinstance(n, ast.ClassDef) for n in nodes)}
+    reached: set[tuple[str, ...]] = set()
+    todo: list[tuple[str, ...]] = [("name", "main")]
     while todo:
         key = todo.pop()
-        kind, name = key
-        nodes = defs.get(name, []) if kind == "name" else [node for _, node in members.get(name, [])]
+        kind, name, *owner = key
+        if kind == "name":
+            nodes = defs.get(name, [])
+        else:  # ("attr", name) reaches every member so named, ("attr", name, cls) the one of cls
+            nodes = [node for cls, node in members.get(name, []) if owner in ([], [cls])]
         if key in reached or not nodes:
             continue
         reached.add(key)
         for node in nodes:
-            names, attrs = _mentioned(node)
-            # module.name reaches a top-level name, and x.name any member so named
+            names, attrs, owned = _mentioned(node, classes)
+            # module.name reaches a top-level name, x.name any member so named,
+            # and Class.name the member of Class
             todo += [("name", n) for n in names | attrs] + [("attr", a) for a in attrs]
-    unreached = sorted(set(defs) - {name for kind, name in reached if kind == "name"} - ALLOWED)
+            todo += [("attr", a, cls) for cls, a in owned]
+    unreached = sorted(set(defs) - {key[1] for key in reached if key[0] == "name"} - ALLOWED)
     return unreached + sorted(
-        f"{cls}.{name}" for name, owners in members.items() if ("attr", name) not in reached for cls, _ in owners
+        f"{cls}.{name}"
+        for name, owners in members.items()
+        for cls, _ in owners
+        if ("attr", name) not in reached and ("attr", name, cls) not in reached
     )
 
 
