@@ -377,28 +377,24 @@ def cmd_pet(args):
 
 
 def cmd_sieve(args):
-    checks = []
-    meta: dict = {}
-    if args.shifts is not None:
-        N_list = _increasing(args.N if args.N is not None else [1000, 10000], "--N")
-        cutoff = args.cutoff if args.cutoff is not None else 1000000
-        # One table for counts and series; --limit is a floor, and so is 2 (a cutoff below is the series' error).
-        limit = max(args.limit or 2, max(N_list) + max(max(args.shifts), 0), cutoff)
-        table = primes.sieve(limit, args.cache)
-        rows = [(N, primes.count_prime_tuples(table, N, args.shifts)) for N in N_list]
-        meta["singular_series"] = primes.singular_series(args.shifts, cutoff, table)._asdict()
-        checks.append(("counts_monotone", all(a[1] <= b[1] for a, b in zip(rows, rows[1:]))))
-    else:
+    if args.shifts is None:
         if args.N is not None or args.cutoff is not None:
             raise ValueError("--N and --cutoff need --shifts: a plain sieve only counts the primes up to --limit")
         limit = args.limit if args.limit is not None else 1000000
         table = primes.sieve(limit, args.cache)
         count = table.prime_count(limit)
-        rows = [(limit, count)]
-        if limit >= 17:
-            checks.append(("prime_count_lower", count >= limit / math.log(limit)))
-    meta["limit"] = table.limit
-    return rows, meta, checks
+        checks = [("prime_count_lower", count >= limit / math.log(limit))] if limit >= 17 else []
+        return [(limit, count)], {"limit": table.limit}, checks
+    if args.limit is not None:
+        raise ValueError("--limit is for a plain sieve: with --shifts the table covers max N + max shift and --cutoff")
+    N_list = _increasing(args.N if args.N is not None else [1000, 10000], "--N")
+    cutoff = args.cutoff if args.cutoff is not None else 1000000
+    # One table for counts and series; 2 keeps it valid (a cutoff below is the series' error).
+    table = primes.sieve(max(2, max(N_list) + max(max(args.shifts), 0), cutoff), args.cache)
+    rows = [(N, primes.count_prime_tuples(table, N, args.shifts)) for N in N_list]
+    series = primes.singular_series(args.shifts, cutoff, table)._asdict()
+    monotone = all(a[1] <= b[1] for a, b in zip(rows, rows[1:]))
+    return rows, {"limit": table.limit, "singular_series": series}, [("counts_monotone", monotone)]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +460,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sieve", help="prime tables, tuple counts, singular series")
     _add_common(p, cache=True)
-    p.add_argument("--limit", type=int, default=None, help="sieve bound (default 1000000); a floor with --shifts")
+    p.add_argument("--limit", type=int, default=None, help="without --shifts: sieve bound (default 1000000)")
     p.add_argument("--shifts", type=_int_list, default=None, help="count n with n+h prime for all shifts h")
     p.add_argument("--N", type=_int_list, default=None,
                    help="with --shifts: counting lengths (default 1000,10000)")

@@ -437,7 +437,7 @@ def test_criterion_10_byte_determinism(criterion_report, tmp_path):
         "recurrence": ["recurrence", "--system", "cyclic:5", "--family", low,
                        "--mode", "primes", "--N", "100,200"],
         "seminorm": ["seminorm", "--system", "skew", "--s", "2,3", "--N", "50,50"],
-        "sieve": ["sieve", "--limit", "10000", "--shifts", "0,2", "--N", "100,1000",
+        "sieve": ["sieve", "--shifts", "0,2", "--N", "100,1000",
                   "--cutoff", "1000"],
     }
     for name, argv in runs.items():

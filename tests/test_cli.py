@@ -199,6 +199,15 @@ def test_jointavg_certificate_run(tmp_path):
     assert side["metadata"]["seminorm_schedule"] == [1000]
 
 
+def test_jointavg_cyclic_certificate_refuses_degree_3_past_modulus_10_to_the_4(tmp_path, capsys):
+    # the exact Z/m certificate takes m^(s-1) <= 10^8
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    assert main(["jointavg", "--system", "cyclic:10001", "--family", fam, "--cert-degree", "3",
+                 "--N", "10,20", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: degree 3 on modulus 10001 is out of budget\n"
+    assert not (tmp_path / "jointavg.csv").exists()
+
+
 def test_jointavg_certificate_names_the_lambda_weight(tmp_path):
     # the certificate run is lambda-weighted whatever --weight says
     fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
@@ -390,13 +399,19 @@ def test_sieve_tuples_read_one_table_through_the_cache(tmp_path, monkeypatch):
     assert load_table(cache).limit == 1000000
 
 
-@pytest.mark.parametrize("limit, want", [(None, 1002), ("500", 1002), ("5000", 5000)])
-def test_sieve_limit_is_a_floor_with_shifts(tmp_path, limit, want):
+def test_sieve_tuples_sieve_to_the_largest_count_or_cutoff(tmp_path):
     argv = ["sieve", "--shifts", "0,2", "--N", "100,1000", "--cutoff", "1000", "--out", str(tmp_path)]
-    assert main(argv + (["--limit", limit] if limit else [])) == 0
+    assert main(argv) == 0
     side = read_sidecar(tmp_path, "sieve")
-    assert side["metadata"]["limit"] == want
-    assert side["config"]["limit"] == (int(limit) if limit else None)
+    assert side["metadata"]["limit"] == 1002
+    assert side["config"]["limit"] is None
+
+
+def test_sieve_tuples_refuse_limit(tmp_path, capsys):
+    argv = ["sieve", "--shifts", "0,2", "--N", "100", "--cutoff", "1000", "--limit", "5000"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: --limit is for a plain sieve")
+    assert not (tmp_path / "sieve.csv").exists()
 
 
 def test_plain_sieve_limit_defaults_to_a_million(tmp_path):
