@@ -388,6 +388,8 @@ def cmd_sieve(args):
     if args.limit is not None:
         raise ValueError("--limit is for a plain sieve: with --shifts the table covers max N + max shift and --cutoff")
     N_list = _increasing(args.N if args.N is not None else [1000, 10000], "--N")
+    if N_list[0] < 0:  # refused before the table is sieved and cached
+        raise ValueError(f"counting length N must be >= 0, got {N_list[0]}")
     cutoff = args.cutoff if args.cutoff is not None else 1000000
     # One table for counts and series; 2 keeps it valid (a cutoff below is the series' error).
     table = primes.sieve(max(2, max(N_list) + max(max(args.shifts), 0), cutoff), args.cache)

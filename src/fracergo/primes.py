@@ -1,9 +1,9 @@
 """Prime sieving, the prime-restricted von Mangoldt function and its
 product over a shift cube, tuple counts, and singular series.
 
-The sieve is a plain numpy Eratosthenes with an optional on-disk cache
-(one bit per odd integer, see ``save_table``/``load_table``); its table
-is read through two arrays, ``is_prime`` and ``primes``.  The singular
+The sieve is a plain numpy Eratosthenes over the odd integers, with an
+optional on-disk cache; its table is one flag per odd integer, in memory
+as on disk (see ``save_table``), and the sorted primes.  The singular
 series is an honestly truncated Euler product: the value comes back
 with a rigorous bound on what the discarded primes can still change.
 """
@@ -34,21 +34,18 @@ __all__ = [
 
 CACHE_MAGIC = b"FRGOSV01"
 
-# A bool array of this many bytes is where we stop pretending this is a
-# desk-scale computation.
+# A flag array of this many bytes (one per odd integer, so limits up to
+# 2^32) is where we stop pretending this is a desk-scale computation.
 MAX_SIEVE_BYTES = 1 << 31
 
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primality of every integer up to ``limit``, plus the sorted primes.
-
-    ``is_prime`` is indexed directly by the integer; ``primes[n-1]`` is
-    the n-th prime (so the first prime is 2).
-    """
+    """The primes up to ``limit``: ``odd[i]`` is the primality flag of 2i + 1
+    (2 has none), and ``primes[n-1]`` is the n-th prime (the first is 2)."""
 
     limit: int
-    is_prime: np.ndarray
+    odd: np.ndarray
     primes: np.ndarray
 
     def prime_count(self, n: int) -> int:
@@ -57,50 +54,57 @@ class PrimeTable:
             raise ValueError(f"table covers up to {self.limit}, asked for pi({n})")
         return int(np.searchsorted(self.primes, n, side="right"))
 
+    def and_primes(self, mask: np.ndarray, start: int) -> None:
+        """mask[j] &= (start + 2j is prime), in place; nothing below 2 is prime."""
+        if start % 2 == 0:  # even integers: only 2 can be prime
+            j = (2 - start) // 2  # start + 2j == 2
+            mask[: max(j, 0)] = False
+            mask[max(j + 1, 0) :] = False
+        else:  # start + 2j = 2(i0 + j) + 1, read from a contiguous run of odd
+            i0 = (start - 1) // 2
+            skip = min(max(-i0, 0), len(mask))
+            mask[:skip] = False
+            mask[skip:] &= self.odd[i0 + skip : i0 + len(mask)]
+
+
+def _table(limit: int, odd: np.ndarray) -> PrimeTable:
+    odd[0] = True  # the flag of 1 holds the place of 2 while the primes are read off
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    odd[0] = False
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return PrimeTable(limit, odd, primes)
+
 
 def sieve(limit: int, cache_path: Optional[str] = None) -> PrimeTable:
-    """Sieve of Eratosthenes up to ``limit`` inclusive.
-
-    With ``cache_path``, an existing cache file that covers ``limit`` is
-    reused (restricted to [0, limit]); otherwise the table is sieved and
-    written there.
-    """
+    """Sieve of Eratosthenes up to ``limit`` inclusive.  With ``cache_path``,
+    a cache file that covers ``limit`` is read and restricted to [0, limit];
+    otherwise the table is sieved and written there."""
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    needed = limit + 1
+    needed = (limit + 1) // 2
     if needed > MAX_SIEVE_BYTES:
-        raise MemoryError(
-            f"sieve up to {limit} needs {needed} bytes for the primality "
-            f"table, over the {MAX_SIEVE_BYTES}-byte budget"
-        )
+        raise MemoryError(f"sieve up to {limit} needs {needed} bytes of odd flags, over the {MAX_SIEVE_BYTES}-byte budget")
     if cache_path is not None and os.path.exists(cache_path):
         cached = load_table(cache_path)
         if cached.limit >= limit:
-            return _restrict(cached, limit)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    flags[4::2] = False
+            return PrimeTable(limit, cached.odd[:needed], cached.primes[: cached.prime_count(limit)])
+        del cached  # too small: free it before the larger table is sieved
+    odd = np.ones(needed, dtype=bool)
     for p in range(3, math.isqrt(limit) + 1, 2):
-        if flags[p]:
-            flags[p * p :: 2 * p] = False
-    table = PrimeTable(limit, flags, np.flatnonzero(flags).astype(np.int64))
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False  # p*p, p*p + 2p, ...
+    table = _table(limit, odd)
     if cache_path is not None:
         save_table(table, cache_path)
     return table
 
 
-def _restrict(table: PrimeTable, limit: int) -> PrimeTable:
-    if limit == table.limit:
-        return table
-    flags = table.is_prime[: limit + 1].copy()
-    return PrimeTable(limit, flags, np.flatnonzero(flags).astype(np.int64))
-
-
 def save_table(table: PrimeTable, path: str) -> None:
     """Cache format: 8-byte magic, 8-byte little-endian limit, then a
     bitset with one bit per odd integer (bit i is the flag of 2i+1)."""
-    odd_flags = table.is_prime[1::2]
-    payload = np.packbits(odd_flags, bitorder="little").tobytes()
+    payload = np.packbits(table.odd, bitorder="little").tobytes()
     # A temp file of its own in the cache's directory, so that runs sharing
     # a cache never write the same file and the rename stays atomic.
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
@@ -126,16 +130,15 @@ def load_table(path: str) -> PrimeTable:
             raise ValueError(f"{path}: not a sieve cache (bad magic {magic!r})")
         limit = int.from_bytes(fh.read(8), "little")
         payload = fh.read()
+    if limit < 2:
+        raise ValueError(f"{path}: cache limit {limit} is below 2")
     n_odd = (limit + 1) // 2
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-    if len(bits) < n_odd:
-        raise ValueError(f"{path}: truncated cache file")
-    flags = np.zeros(limit + 1, dtype=bool)
-    flags[1::2] = bits[:n_odd].astype(bool)
-    if limit >= 2:
-        flags[1] = False
-        flags[2] = True
-    return PrimeTable(limit, flags, np.flatnonzero(flags).astype(np.int64))
+    want = (n_odd + 7) // 8  # checked before unpacking: unpackbits(count=) pads a short payload
+    if len(payload) != want:
+        kind = "truncated" if len(payload) < want else "overlong"
+        raise ValueError(f"{path}: {kind} cache file ({len(payload)} payload bytes, limit {limit} needs {want})")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n_odd, bitorder="little")
+    return _table(limit, bits.view(bool))
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +174,7 @@ def cube(shifts: Sequence[int]) -> tuple[int, ...]:
     """All subset sums of the shifts: first the empty sum, then the
     singletons in order, then pairs, and so on (so for (h1,h2,h3) the
     result is (0, h1, h2, h3, h1+h2, h1+h3, h2+h3, h1+h2+h3))."""
-    ell = len(shifts)
-    out = []
-    for size in range(ell + 1):
-        for combo in combinations(range(ell), size):
-            out.append(sum(shifts[i] for i in combo))
-    return tuple(out)
+    return tuple(sum(c) for size in range(len(shifts) + 1) for c in combinations(shifts, size))
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +189,13 @@ def count_prime_tuples(table: PrimeTable, N: int, shifts: Sequence[int]) -> int:
     top = N + max(shifts)
     if top > table.limit:
         raise ValueError(f"table covers up to {table.limit}, need {top}")
-    mask = np.ones(N, dtype=bool)
-    for h in shifts:
-        # n + h runs over [1 + h, N + h]; the n with n + h < 0 count as not prime
-        skip = min(max(-1 - h, 0), N)
-        mask[:skip] = False
-        mask[skip:] &= table.is_prime[1 + h + skip : N + h + 1]
-    return int(np.count_nonzero(mask))
+    count = 0
+    for n0 in (1, 2):  # n = n0, n0 + 2, ... <= N, along which each n + h keeps its parity
+        mask = np.ones(max((N - n0) // 2 + 1, 0), dtype=bool)
+        for h in shifts:
+            table.and_primes(mask, n0 + h)
+        count += int(np.count_nonzero(mask))
+    return count
 
 
 def nu_p(p: int, values: Sequence[int]) -> int:

@@ -372,10 +372,17 @@ def test_plain_sieve_refuses_tuple_flags(tmp_path, capsys, flags):
     assert not (tmp_path / "sieve.csv").exists()
 
 
-def test_sieve_refuses_a_negative_counting_length(tmp_path, capsys):
-    assert main(["sieve", "--shifts", "0,2", "--N", "-5", "--out", str(tmp_path)]) == 1
+def test_sieve_refuses_a_negative_counting_length(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sieved before the counting length was checked")
+
+    monkeypatch.setattr(primes, "sieve", refuse)
+    cache = tmp_path / "c.bin"
+    argv = ["sieve", "--shifts", "0,2", "--N", "-5", "--cache", str(cache), "--out", str(tmp_path)]
+    assert main(argv) == 1
     assert capsys.readouterr().err == "error: counting length N must be >= 0, got -5\n"
     assert not (tmp_path / "sieve.csv").exists()
+    assert not cache.exists()
 
 
 def test_sieve_tuple_cutoff_defaults_to_a_million(tmp_path):

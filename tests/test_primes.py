@@ -1,6 +1,8 @@
+import hashlib
 import math
 import os
 import stat
+import tempfile
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +40,14 @@ def oracle_sieve(limit):
     return flags
 
 
+def read_flags(table, lo, hi):
+    """Primality of lo..hi through the table's reader, one parity class at a time."""
+    out = np.ones(max(hi - lo + 1, 0), dtype=bool)
+    for k in (0, 1):
+        table.and_primes(out[k::2], lo + k)
+    return out
+
+
 def oracle_is_prime(n):
     if n < 2:
         return False
@@ -50,13 +60,14 @@ def oracle_is_prime(n):
 def test_sieve_small_exact():
     t = sieve(30)
     assert t.primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert t.is_prime[29] and not t.is_prime[30] and not t.is_prime[1]
+    f = read_flags(t, 0, 30)
+    assert f[29] and not f[30] and not f[1]
 
 
 def test_sieve_matches_independent_oracle():
     t = sieve(10_000)
     flags = oracle_sieve(10_000)
-    assert t.is_prime.tolist() == [bool(b) for b in flags]
+    assert read_flags(t, 0, 10_000).tolist() == [bool(b) for b in flags]
 
 
 def test_prime_count_at_one_million(table):
@@ -74,7 +85,8 @@ def test_prime_count_and_contains():
     assert t.prime_count(2) == 1
     assert t.prime_count(1) == 0
     assert t.prime_count(97) == 25
-    assert t.is_prime[97] and not t.is_prime[91]
+    f = read_flags(t, 0, 100)
+    assert f[97] and not f[91]
     with pytest.raises(ValueError):
         t.prime_count(101)
 
@@ -84,6 +96,49 @@ def test_sieve_rejects_bad_limits():
         sieve(1)
     with pytest.raises(MemoryError):
         sieve(1 << 33)
+    # one byte per odd integer: 2^31 bytes cover limits up to 2^32
+    with pytest.raises(MemoryError, match="needs 2147483649 bytes"):
+        sieve((1 << 32) + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5000), st.integers(0, 300), st.data())
+def test_odd_flags_match_the_oracle(limit, extra, data):
+    oracle = oracle_sieve(limit)
+    t = sieve(limit)
+    assert t.primes.tolist() == [n for n in range(limit + 1) if oracle[n]]
+    assert t.odd.tolist() == [bool(b) for b in oracle[1::2]]
+    lo = data.draw(st.integers(-60, limit))
+    hi = data.draw(st.integers(lo - 1, limit))
+    want = [n >= 0 and bool(oracle[n]) for n in range(lo, hi + 1)]
+    assert read_flags(t, lo, hi).tolist() == want
+    # and-ed in place into a given mask, every other integer from lo on
+    every_other = want[::2]
+    drawn = data.draw(st.lists(st.booleans(), min_size=len(every_other), max_size=len(every_other)))
+    mask = np.array(drawn, dtype=bool)
+    t.and_primes(mask, lo)
+    assert mask.tolist() == [a and b for a, b in zip(drawn, every_other)]
+    # a larger cached table, restricted, is the table sieved afresh
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.sieve")
+        sieve(limit + extra, cache_path=path)
+        back = sieve(limit, cache_path=path)
+    assert back.limit == limit
+    assert back.odd.tolist() == t.odd.tolist()
+    assert back.primes.tolist() == t.primes.tolist()
+
+
+@pytest.mark.parametrize("limit, digest", [
+    (2, "4eba9cf9c6f0cdb399adc3bd3f503a8bcc8a58a08f6129e327d3d1cccbe555fe"),
+    (3, "78571fb7cc2a39ff603cc96e81a4d486cb59c85aaac7691a5eddf00da393e1f6"),
+    (1000, "304244f75a354f30e189f1b6d969a3aa36d22d2696196a090046bbee8c2d4703"),
+    (1001, "415af5b392ea614184894c10c190b565b7c783662a7001ef12a6aef17c7dfd77"),
+    (1000030, "df75b888762f906158667b148e6e005924f3b3e2de9e644278a313177912dd68"),
+])
+def test_cache_bytes_are_pinned(tmp_path, limit, digest):
+    path = tmp_path / "p.sieve"
+    save_table(sieve(limit), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_cache_roundtrip(tmp_path):
@@ -92,7 +147,7 @@ def test_cache_roundtrip(tmp_path):
     save_table(t, path)
     back = load_table(path)
     assert back.limit == 1000
-    assert np.array_equal(back.is_prime, t.is_prime)
+    assert np.array_equal(read_flags(back, 0, 1000), read_flags(t, 0, 1000))
     assert np.array_equal(back.primes, t.primes)
 
 
@@ -136,6 +191,23 @@ def test_load_rejects_truncated_payload(tmp_path):
     path = tmp_path / "short.sieve"
     path.write_bytes(CACHE_MAGIC + (10_000).to_bytes(8, "little") + b"\x01")
     with pytest.raises(ValueError, match="truncated"):
+        load_table(str(path))
+
+
+def test_load_rejects_overlong_payload(tmp_path):
+    good = tmp_path / "good.sieve"
+    save_table(sieve(1000), str(good))
+    path = tmp_path / "long.sieve"
+    path.write_bytes(good.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="long.sieve: overlong cache file"):
+        load_table(str(path))
+
+
+@pytest.mark.parametrize("limit", [0, 1])
+def test_load_rejects_a_limit_below_two(tmp_path, limit):
+    path = tmp_path / "tiny.sieve"
+    path.write_bytes(CACHE_MAGIC + limit.to_bytes(8, "little") + b"\x00" * limit)
+    with pytest.raises(ValueError, match="below 2"):
         load_table(str(path))
 
 
