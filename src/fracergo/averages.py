@@ -18,13 +18,13 @@ from the value, since cancelling terms leave a small value with a large
 error: sum_i |c_i| x^(e_i) (GUARD_ULPS eps + ln x |e_i - fl(e_i)|) +
 1e-9, with fl(e_i) the double nearest e_i.
 
-Torus averages are contracted by GEMM, CHUNK indices n at a time, not
-summed per term combination: that moves them by about N eps sum|amp|.
+Each system accumulates its own average (``average``) and gives its own
+seminorm certificate (``seminorm``); nothing here asks which system it
+holds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,45 +34,7 @@ import numpy as np
 
 from .fracpoly import Family, RealExpPoly, family_to_json, is_nice
 from .primes import PrimeTable, von_mangoldt_cube
-from .systems import (
-    Cyclic,
-    CyclicFunction,
-    FourierPoly,
-    Rotation,
-    Skew,
-    SystemSpec,
-    _canonical,
-    _check_budget,
-    _check_observable,
-    _check_reach,
-    constant,
-    describe,
-    frac_multiples,
-    integrate,
-    l2_distance,
-    l2_norm,
-)
-from .seminorms import hk_seminorm_estimate
-
-__all__ = [
-    "IterateSpec",
-    "Unweighted",
-    "VonMangoldt",
-    "DeltaVonMangoldt",
-    "WeightSpec",
-    "parse_weight",
-    "describe_weight",
-    "MultiAverage",
-    "RecurrenceProfile",
-    "ExperimentResult",
-    "iterate_value",
-    "iterate_values",
-    "weight_values",
-    "weyl_sum",
-    "multi_average",
-    "recurrence_profile",
-    "cfprime_experiment",
-]
+from .systems import SystemSpec, describe, frac_multiples, integrate, l2_distance, l2_norm
 
 GUARD_ABS = 1e-9
 # Float error of one term c * x**fl(e), in units of eps times its size:
@@ -80,9 +42,6 @@ GUARD_ABS = 1e-9
 # the running sum adds at most 1/2 per term.  8 covers iterate functions
 # of up to 12 terms; fl(e) != e is the separate ln x term.
 GUARD_ULPS = 8
-# Indices n per block of the torus contraction: one (CHUNK x terms)
-# character matrix per iterate is alive at a time.
-CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -372,118 +331,13 @@ def multi_average(
     if not iterates or N < 1:
         raise ValueError("empty average")
     for f in functions:
-        _check_observable(sys, f)
+        sys.check(f)
     w = weight_values(weight, N, table)
     J = _gather_iterates(iterates, N, table)
     bench = _product_benchmark(sys, functions, weight)
-    avg = _average(sys, J, functions, w)
+    avg = sys.average(J, functions, w)
     # The constant goes first, so its zero frequency leads the Parseval sum.
-    return MultiAverage(avg, l2_distance(constant(sys, bench), avg), bench)
-
-
-def _average(sys: SystemSpec, J, functions, w):
-    """(1/N) sum_n w(n) prod_i T^{J[i][n]} f_i in the system's own
-    representation."""
-    if isinstance(sys, Cyclic):
-        return _avg_cyclic(sys, J, functions, w)
-    return _avg_torus(sys, J, functions, w)
-
-
-def _avg_cyclic(sys: Cyclic, J, functions, w) -> CyclicFunction:
-    m = sys.m
-    arrays = [np.asarray(f.as_array()) for f in functions]
-    shifts = [np.mod(j, m) for j in J]
-    N = len(w)
-    out = []
-    for x in range(m):
-        prod = np.ones(N, dtype=complex)
-        for arr, j in zip(arrays, shifts):
-            prod *= arr[(x + j) % m]
-        out.append(complex(np.sum(w * prod) / N))
-    return CyclicFunction.make(m, out)
-
-
-def _avg_torus(sys: Union[Rotation, Skew], J, functions, w) -> FourierPoly:
-    """A rotation frequency (k,) is read as (k, 0).  T^j moves frequency
-    (k1, k2) to (k1 + j k2, k2), so the term combinations whose k2 are
-    all 0 land on one frequency for every n and are contracted together;
-    any other lands on a frequency per n, and its N rows are merged into
-    the sum before the next combination."""
-    N = len(w)
-    rows = [np.pad(f.freqs, ((0, 0), (0, 2 - f.dim))) for f in functions]
-    still = [np.flatnonzero(r[:, 1] == 0) for r in rows]
-    # Only the combinations with some k2 != 0 are enumerated one by one.
-    combos = math.prod(map(len, rows)) - math.prod(map(len, still))
-    _check_budget(combos)
-    # |sum_i k1_i + k2_i j_i(n)| is bounded before int64 arithmetic forms it
-    reach = 0
-    for r, j in zip(rows, J):
-        jmax = max(-int(j.min(initial=0)), int(j.max(initial=0)))
-        reach += int(np.abs(r[:, 0]).max(initial=0)) + int(np.abs(r[:, 1]).max(initial=0)) * (1 + jmax)
-    _check_reach(reach)
-    lin = [frac_multiples(sys.alpha, j.tolist()) for j in J]
-    # Phases k * frac(j alpha) are off by at most |k| ulps.  Triangular
-    # numbers overflow int64 for large iterates, so Python ints feed the
-    # exact reduction; only k2 != 0 terms need them.
-    tri = [
-        frac_multiples(sys.alpha, [x * (x - 1) // 2 for x in j.tolist()]) if r[:, 1].any() else None
-        for j, r in zip(J, rows)
-    ]
-    acc = FourierPoly.zero(2)
-    if all(map(len, still)):
-        ks = [r[t, 0] for r, t in zip(rows, still)]
-        amps = [f.amps[t] for f, t in zip(functions, still)]
-        k, a = _contract_stationary(ks, amps, lin, w)
-        acc = _canonical(2, np.column_stack([k, 0 * k]), a)
-    # Every combination with some k2 != 0 once: i is the first iterate with one.
-    for combo in itertools.chain.from_iterable(
-        itertools.product(*still[:i], np.flatnonzero(r[:, 1]), *map(range, map(len, rows[i + 1 :])))
-        for i, r in enumerate(rows)
-    ):
-        k1, k2, amp, phase = 0, 0, 1 + 0j, np.zeros(N)
-        for r, f, t, j, bl, bt in zip(rows, functions, combo, J, lin, tri):
-            c1, c2 = r[t].tolist()
-            amp *= complex(f.amps[t])
-            if c1:
-                phase += (c1 * bl) % 1.0
-            if c2:
-                phase += (c2 * bt) % 1.0
-            k1 = k1 + c1 + c2 * j
-            k2 += c2
-        contrib = amp * w * np.exp(2j * np.pi * phase) / N
-        freqs = np.vstack([acc.freqs, np.column_stack([k1, np.full(N, k2)])])
-        acc = _canonical(2, freqs, np.concatenate([acc.amps, contrib]))
-    return FourierPoly(sys.dim, acc.freqs[:, : sys.dim], acc.amps)
-
-
-def _contract_stationary(ks, amps, lin, w) -> tuple[np.ndarray, np.ndarray]:
-    """(1/N) sum_n w(n) prod_i a_i e(k_i frac(j_i(n) alpha)) over every
-    combination of terms (k_i, a_i), one term of each iterate's
-    frequencies ks[i] and amplitudes amps[i]; returns sums of k_i and
-    their amplitudes, a sum repeated when it arises in several ways.
-
-    Per CHUNK indices n, C_i[n, t] = a_t e(k_t frac(j_i(n) alpha)).  w C_1,
-    ..., C_(l-1) fold into P[n, F] over the distinct frequency sums F, and
-    one GEMM P^T C_l contracts the last iterate over n.  Each amplitude is
-    its N terms summed in another order: about N eps sum|a| off."""
-    # The frequency sums after each but the last iterate, and where sum F
-    # times term t goes.
-    sums, places = np.zeros(1, dtype=np.int64), []
-    for k in ks[:-1]:
-        sums, inv = np.unique(np.add.outer(sums, k).ravel(), return_inverse=True)
-        places.append(inv.reshape(-1, len(k)))
-    G = np.zeros((len(sums), len(ks[-1])), dtype=complex)
-    for lo in range(0, len(w), CHUNK):
-        x = [np.outer(b[lo : lo + CHUNK], k) for k, b in zip(ks, lin)]
-        C = [a * np.exp(2j * np.pi * (y - np.floor(y))) for a, y in zip(amps, x)]  # y % 1.0, bit for bit
-        P = w[lo : lo + CHUNK, None].astype(complex)
-        for Ci, inv in zip(C[:-1], places):
-            folded = np.zeros((len(P), inv.max() + 1), dtype=complex)
-            for f in range(P.shape[1]):
-                folded[:, inv[f]] += P[:, f, None] * Ci
-            P = folded
-        G += P.T @ C[-1]
-    return np.add.outer(sums, ks[-1]).ravel(), (G / len(w)).ravel()
+    return MultiAverage(avg, l2_distance(sys.constant(bench), avg), bench)
 
 
 # ---------------------------------------------------------------------------
@@ -526,27 +380,18 @@ def recurrence_profile(
         raise ValueError("average lengths must increase")
     if any(n < 1 for n in N_list):
         raise ValueError("empty average")
-    _check_observable(sys, g)
-    _require_real(sys, g)
+    sys.check(g)
+    if not g.is_real():
+        raise ValueError("recurrence needs a real-valued g")
     mu = integrate(sys, g)
     bench = mu.real ** (len(iterates) + 1)
     Nmax = max(N_list)
     J = _gather_iterates(iterates, Nmax, table)
     series = []
     for N in N_list:
-        avg = _average(sys, [-j[:N] for j in J], [g] * len(J), np.ones(N))
+        avg = sys.average([-j[:N] for j in J], [g] * len(J), np.ones(N))
         series.append((N, (l2_distance(avg, g.scale(-1)) ** 2 - l2_distance(avg, g) ** 2) / 4))
     return RecurrenceProfile(tuple(series), bench)
-
-
-def _require_real(sys: SystemSpec, g) -> None:
-    if isinstance(sys, Cyclic):
-        defect = np.array([v.imag for v in g.values])
-    else:
-        # g - conj(g): g.conjugate() has conj(g_(-k)) at k
-        defect = (g + g.conjugate().scale(-1)).amps
-    if np.any(np.abs(defect) > 1e-12):
-        raise ValueError("recurrence needs a real-valued g")
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +406,22 @@ class ExperimentResult:
         lengths = [n for n, _ in self.series]
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("average lengths must increase")
+
+
+def check_experiment(
+    sys: SystemSpec, family: Family, functions: Sequence, s: int, N_list: Sequence[int]
+) -> None:
+    """The refusals of ``cfprime_experiment``, which need no table: run
+    them before sieving one."""
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError("average lengths must increase")
+    if len(functions) != len(family.functions):
+        raise ValueError("one observable per family member")
+    if not is_nice(family):
+        raise ValueError("the iterate family must be nice")
+    if len(set(family.functions)) < len(family.functions):
+        raise ValueError("family members must be pairwise distinct")
+    sys.check_degree(s)
 
 
 def cfprime_experiment(
@@ -581,16 +442,9 @@ def cfprime_experiment(
     with a large one, is the pattern the controlling inequality
     predicts.
     """
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValueError("average lengths must increase")
     funcs = list(functions)
-    if len(funcs) != len(family.functions):
-        raise ValueError("one observable per family member")
-    if not is_nice(family):
-        raise ValueError("the iterate family must be nice")
-    if len(set(family.functions)) < len(family.functions):
-        raise ValueError("family members must be pairwise distinct")
-    cert = hk_seminorm_estimate(sys, funcs[0], s)
+    check_experiment(sys, family, funcs, s, N_list)
+    cert = sys.seminorm(funcs[0], s)
     specs = [IterateSpec(f, "integers") for f in family.functions]
     series = []
     for N in N_list:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import averages, fracpoly, primes, seminorms, systems
-from .fracpoly import json_field, json_int, json_ints, json_list
+from .fracpoly import json_field, json_list
 
 SCHEMA_VERSION = 2
 
@@ -65,57 +65,19 @@ def _iterate_specs(args) -> list[averages.IterateSpec]:
     return [averages.IterateSpec(f, args.mode) for f in fracpoly.load_family(args.family)]
 
 
-def _default_function(sys_spec):
-    """The indicator of 0 on Z/m, e(last coordinate) on a torus."""
-    if isinstance(sys_spec, systems.Cyclic):
-        return systems.indicator(sys_spec.m, [0])
-    return systems.fourier_e(sys_spec.dim, (0,) * (sys_spec.dim - 1) + (1,))
-
-
-def _real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
-
-
-def _complex_pairs(value) -> list[complex]:
-    return [complex(_real(re), _real(im)) for re, im in json_list(value)]
-
-
-def _amplitude(desc, default_re: Optional[float] = None) -> complex:
-    return complex(json_field(desc, "re", _real, default_re), json_field(desc, "im", _real, 0.0))
-
-
 def _build_function(desc: dict, sys_spec):
     """One observable from its JSON descriptor; a malformed field is a
     ValueError that names it."""
     kind = json_field(desc, "kind", str, "fourier")
     if kind == "constant":
-        return systems.constant(sys_spec, _amplitude(desc, 1.0))
-    if isinstance(sys_spec, systems.Cyclic):
-        m = sys_spec.m
-        if kind == "indicator":
-            return systems.indicator(m, json_field(desc, "points", json_ints))
-        if kind == "cyclic":
-            return systems.CyclicFunction.make(m, json_field(desc, "values", _complex_pairs))
-        raise ValueError(f"function kind {kind!r} does not fit a cyclic system")
-    dim = sys_spec.dim
-    if kind == "fourier":
-        terms = json_field(desc, "terms", json_list)
-        entries = [(json_field(t, "freq", json_ints), _amplitude(t)) for t in terms]
-        return systems.FourierPoly.make(dim, entries)
-    if kind == "arc":
-        if dim != 1:
-            raise ValueError("arc functions live on the rotation")
-        beta = json_field(desc, "beta", _real)
-        return systems.fejer_arc(beta, json_field(desc, "n_terms", json_int, 40))
-    raise ValueError(f"function kind {kind!r} does not fit this system")
+        return sys_spec.constant(systems._amplitude(desc, 1.0))
+    return sys_spec.observable(kind, desc)
 
 
 def _load_functions(args, sys_spec, count: int) -> list:
     path = getattr(args, "functions", None)
     if path is None:
-        return [_default_function(sys_spec)] * count
+        return [sys_spec.default_function()] * count
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     funcs = [_build_function(d, sys_spec) for d in json_field(data, "functions", json_list)]
@@ -248,8 +210,9 @@ def cmd_jointavg(args):
         if args.mode == "primes" or isinstance(weight, averages.DeltaVonMangoldt):
             raise ValueError("--cert-degree runs over the integers with the lambda weight; "
                              "drop --mode primes and --weight delta:...")
-        table = _table_for_averages(args, specs, averages.VonMangoldt(), N_list)
         fam = fracpoly.Family(tuple(s.poly for s in specs))
+        averages.check_experiment(sys_spec, fam, funcs, args.cert_degree, N_list)  # before the sieve
+        table = _table_for_averages(args, specs, averages.VonMangoldt(), N_list)
         result = averages.cfprime_experiment(
             sys_spec, fam, funcs, args.cert_degree, N_list, table
         )
@@ -304,12 +267,10 @@ def cmd_recurrence(args):
 def _parse_set(text: Optional[str], sys_spec):
     """--g indicator:p1,p2,... or arc:beta[:n_terms], built as the
     matching --functions descriptor."""
-    if isinstance(sys_spec, systems.Skew):
+    if sys_spec.default_set is None:
         raise ValueError("recurrence refuses every --g on the skew product: "
                          "indicator sets live on Z/m and arc functions live on the rotation")
-    if text is None:
-        text = "indicator:0" if isinstance(sys_spec, systems.Cyclic) else "arc:0.3:40"
-    kind, _, rest = text.partition(":")
+    kind, _, rest = (sys_spec.default_set if text is None else text).partition(":")
     parts = rest.split(":")
     if kind == "indicator" and len(parts) == 1:
         desc = {"kind": kind, "points": _int_list(parts[0])}
@@ -324,7 +285,7 @@ def _parse_set(text: Optional[str], sys_spec):
 
 def cmd_seminorm(args):
     sys_spec = systems.parse_system(args.system)
-    if args.oracle and not isinstance(sys_spec, systems.Rotation):
+    if args.oracle and sys_spec.name != "rotation":
         raise ValueError("--oracle compares estimates on the rotation only")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
@@ -334,19 +295,14 @@ def cmd_seminorm(args):
     checks = []
     oracle_vals = {}
     for s in degrees:
-        if isinstance(sys_spec, systems.Cyclic):
-            val = seminorms.gowers_norm_cyclic(f, s)
-        else:
-            schedule = None
-            if args.N is not None:
-                schedule = args.N[: s - 1]
-            val = seminorms.hk_seminorm_estimate(sys_spec, f, s, schedule).value
+        # Z/m reads no --N: its norm is exact
+        val = sys_spec.seminorm(f, s, None if args.N is None else args.N[: s - 1]).value
         if args.oracle and s >= 2:
             oracle = seminorms.fourier_seminorm_rotation(f, s)
             oracle_vals[str(s)] = oracle
             checks.append((f"fourier_oracle_s{s}", abs(val - oracle) <= args.tol))
         rows.append((s, val))
-    if isinstance(sys_spec, systems.Cyclic) and len(degrees) > 1:
+    if sys_spec.name == "cyclic" and len(degrees) > 1:
         mono = all(a <= b + 1e-12 for (_, a), (_, b) in zip(rows, rows[1:]))
         checks.append(("cyclic_monotone", mono))
     meta = {
@@ -475,7 +431,7 @@ def main(argv=None) -> int:
     try:
         return _emit(args, *args.func(args), t0)
     except (ValueError, KeyError, OSError, MemoryError, fracpoly.PetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -19,19 +19,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "PrimeTable",
-    "sieve",
-    "save_table",
-    "load_table",
-    "von_mangoldt_cube",
-    "cube",
-    "count_prime_tuples",
-    "nu_p",
-    "SingularSeries",
-    "singular_series",
-]
-
 CACHE_MAGIC = b"FRGOSV01"
 
 # A flag array of this many bytes (one per odd integer, so limits up to

@@ -1,6 +1,10 @@
 """Gowers-Host-Kra seminorms: exact on cyclic groups, finite-truncation
 estimates on the rotation and skew systems.
 
+Each system's ``seminorm`` method is the one entry: ``Cyclic`` returns
+``gowers_norm_cyclic``, the torus ``hk_seminorm_estimate``, each within
+the budget its ``check_degree`` refuses past.
+
 The recursion is the standard one: the degree-1 value is the absolute
 integral, and each higher degree averages the previous one over
 multiplicative derivatives f-bar * T^n f.  On Z/m the average over n is
@@ -22,23 +26,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .systems import (
-    Cyclic,
     CyclicFunction,
     FourierPoly,
     SystemSpec,
-    _check_observable,
+    _check_gowers_budget,
     apply_power,
     integrate,
     multiply,
 )
-
-__all__ = [
-    "SeminormEstimate",
-    "gowers_norm_cyclic",
-    "hk_seminorm_estimate",
-    "fourier_seminorm_rotation",
-    "DEFAULT_SCHEDULES",
-]
 
 DEFAULT_SCHEDULES = {1: (), 2: (1000,), 3: (200, 200)}
 
@@ -60,12 +55,8 @@ def gowers_norm_cyclic(f: CyclicFunction, s: int) -> float:
     Each recursion level closes after one full period, so this is the
     true multilinear average, not a truncation.
     """
-    if s < 1:
-        raise ValueError("degree must be at least 1")
-    v = f.as_array()
-    if len(v) ** max(s - 1, 1) > 10**8:
-        raise ValueError(f"degree {s} on modulus {f.m} is out of budget")
-    return _cyclic_pow(v, s) ** (1.0 / 2**s)
+    _check_gowers_budget(f.m, s)
+    return _cyclic_pow(f.as_array(), s) ** (1.0 / 2**s)
 
 
 def _cyclic_pow(v: np.ndarray, s: int) -> float:
@@ -93,17 +84,15 @@ def hk_seminorm_estimate(
     ``N_schedule`` gives the truncation length of the n-average at each
     recursion level, outermost first (s-1 entries).  The evaluation is
     depth-first with exact Fourier arithmetic at every node, so a given
-    schedule always returns the same number.  A term-budget overflow in
-    the products raises; no partial value is reported.  On Z/m with no
-    schedule it is the exact Gowers norm, each level a whole period.
+    schedule always returns the same number.  The degree is refused past
+    the system's budget, and a term-budget overflow in the products
+    raises; no partial value is reported.  With no schedule the lengths
+    are ``DEFAULT_SCHEDULES[s]``; on Z/m a schedule of whole periods
+    gives the exact Gowers norm.
     """
-    if not 1 <= s <= 3:
-        raise ValueError(f"estimates take degrees s = 1..3, got {s} (term growth is squared per level)")
-    if isinstance(sys, Cyclic) and N_schedule is None:
-        _check_observable(sys, f)
-        return SeminormEstimate(s, gowers_norm_cyclic(f, s), (sys.m,) * (s - 1))
-    if N_schedule is None:
-        N_schedule = DEFAULT_SCHEDULES[s]
+    sys.check_degree(s)
+    if N_schedule is None:  # a degree with no default (Z/m past 3) gets none and is refused below
+        N_schedule = DEFAULT_SCHEDULES.get(s, ())
     schedule = tuple(int(n) for n in N_schedule)
     if len(schedule) != s - 1:
         raise ValueError(f"degree {s} needs {s - 1} truncation lengths, got {len(schedule)}")

@@ -1,62 +1,62 @@
 """Closed-form measure-preserving systems and their observables.
 
-Three system families, each with an exact n-th iterate and exact
-integration:
+* ``Cyclic(m)`` -- rotation by one on Z/m; observables are value tables
+  (``CyclicFunction``).
+* ``Torus(dim, alpha)`` -- the rotation x -> x + alpha on the circle
+  (``Rotation(alpha)``, dim 1), or the skew product (x, y) -> (x + alpha,
+  y + x) on the 2-torus (``Skew(alpha)``, dim 2), where T^n(x, y) =
+  (x + n*alpha, y + n*x + n(n-1)/2 * alpha).  The rotation is the skew
+  product's k2 = 0 slice: its frequency (k,) is read as (k, 0).
 
-* ``Cyclic(m)``     -- rotation by one on Z/m, observables are value tables;
-* ``Skew(alpha)``   -- (x, y) -> (x + alpha, y + x) on the 2-torus, with
-  T^n(x, y) = (x + n*alpha, y + n*x + n(n-1)/2 * alpha);
-* ``Rotation(alpha)`` -- x -> x + alpha on the circle, the skew product's
-  k2 = 0 slice: its frequency (k,) is read as (k, 0).
+Each system carries its operations, so no layer above asks which system
+it holds:
 
-Torus observables are ``FourierPoly``, a pair of read-only arrays (int64
-frequencies, complex128 amplitudes) in one canonical order that every
-torus operation keeps; nothing here evaluates one at a point.
+* ``str(sys)`` is its ``--system`` text, which ``parse_system`` reads
+  back, and ``name`` the part before the colon;
+* ``check(f)`` refuses another system's observable;
+* ``apply_power(f, n)`` and ``integrate(f)`` are the pullback f o T^n and
+  the exact mean (also module functions, by the same names);
+* ``constant(c)``, ``default_function()`` and ``observable(kind, desc)``
+  build observables, the last from a ``--functions`` JSON descriptor, and
+  ``default_set`` is the default ``recurrence --g`` (None: none fits);
+* ``average(J, functions, w)`` is (1/N) sum_n w(n) prod_i T^{J[i][n]} f_i;
+* ``seminorm(f, s, N_schedule)`` is the degree-s seminorm and
+  ``check_degree(s)`` its budget: the exact Gowers norm on Z/m, within
+  m^(s-1) <= 10^8, and the truncated recursion on the torus, for s <= 3.
+
+Observables carry ``conjugate``, ``scale``, ``+``, ``multiply``,
+``l2_norm`` and ``is_real``.  A ``FourierPoly`` is a pair of read-only
+arrays (int64 frequencies, complex128 amplitudes) in one canonical order
+that every torus operation keeps; nothing here evaluates one at a point.
 
 Character phases like e(k n alpha) are reduced mod 1 in exact integer
 arithmetic on the binary representation of alpha before any float
 rounding: n(n-1)/2 reaches 1e18 at desk scale, where a double loses the
-fractional part completely.
+fractional part completely.  Torus averages are contracted by GEMM, CHUNK
+indices n at a time, not summed per term combination: that moves them by
+about N eps sum|amp|.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence, Union
+from functools import partial
+from typing import ClassVar, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = [
-    "ALPHA_DEFAULT",
-    "TERM_BUDGET",
-    "TermBudgetError",
-    "Cyclic",
-    "Rotation",
-    "Skew",
-    "SystemSpec",
-    "describe",
-    "parse_system",
-    "FourierPoly",
-    "CyclicFunction",
-    "fourier_e",
-    "fourier_const",
-    "constant",
-    "indicator",
-    "fejer_arc",
-    "frac_multiples",
-    "apply_power",
-    "integrate",
-    "multiply",
-    "l2_distance",
-    "l2_norm",
-]
+from .fracpoly import json_field, json_int, json_ints, json_list
 
 # Badly approximable, so finite-orbit equidistribution artifacts stay mild.
 ALPHA_DEFAULT = math.sqrt(2.0) - 1.0
 
 TERM_BUDGET = 100_000
+# Indices n per block of the torus contraction: one (CHUNK x terms)
+# character matrix per iterate is alive at a time.
+CHUNK = 1 << 12
 
 
 class TermBudgetError(ValueError):
@@ -75,37 +75,225 @@ def _check_budget(needed: int) -> None:
         raise TermBudgetError(needed, TERM_BUDGET)
 
 
+def _check_gowers_budget(m: int, s: int) -> None:
+    """The exact degree-s Gowers norm on Z/m takes m^max(s-1, 1) <= 10^8."""
+    if s < 1:
+        raise ValueError("degree must be at least 1")
+    if m ** max(s - 1, 1) > 10**8:
+        raise ValueError(f"degree {s} on modulus {m} is out of budget")
+
+
 @dataclass(frozen=True)
 class Cyclic:
+    """Rotation by one on Z/m."""
+
     m: int
+    name: ClassVar[str] = "cyclic"
+    default_set: ClassVar[str] = "indicator:0"
 
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("cyclic modulus must be at least 2")
 
+    def __str__(self) -> str:
+        return f"cyclic:{self.m}"
+
+    def check(self, f) -> None:
+        if not isinstance(f, CyclicFunction) or f.m != self.m:
+            raise ValueError("cyclic systems take CyclicFunction observables of matching modulus")
+
+    def apply_power(self, f: CyclicFunction, n: int) -> CyclicFunction:
+        self.check(f)
+        j = int(n) % self.m
+        return CyclicFunction(self.m, f.values[j:] + f.values[:j])
+
+    def integrate(self, f: CyclicFunction) -> complex:
+        self.check(f)
+        return complex(np.mean(f.as_array()))
+
+    def constant(self, c: complex) -> CyclicFunction:
+        return CyclicFunction.make(self.m, [c] * self.m)
+
+    def default_function(self) -> CyclicFunction:
+        return indicator(self.m, [0])
+
+    def observable(self, kind: str, desc: dict) -> CyclicFunction:
+        if kind == "indicator":
+            return indicator(self.m, json_field(desc, "points", json_ints))
+        if kind == "cyclic":
+            return CyclicFunction.make(self.m, json_field(desc, "values", _complex_pairs))
+        raise ValueError(f"function kind {kind!r} does not fit a cyclic system")
+
+    def average(self, J, functions, w) -> CyclicFunction:
+        m = self.m
+        arrays = [np.asarray(f.as_array()) for f in functions]
+        shifts = [np.mod(j, m) for j in J]
+        N = len(w)
+        out = []
+        for x in range(m):
+            prod = np.ones(N, dtype=complex)
+            for arr, j in zip(arrays, shifts):
+                prod *= arr[(x + j) % m]
+            out.append(complex(np.sum(w * prod) / N))
+        return CyclicFunction.make(m, out)
+
+    def check_degree(self, s: int) -> None:
+        _check_gowers_budget(self.m, s)
+
+    def seminorm(self, f: CyclicFunction, s: int, N_schedule=None):
+        """The exact Gowers norm: each level averages a whole period, so
+        no truncation schedule is read."""
+        from . import seminorms  # here, not at the top: seminorms imports this module
+
+        self.check(f)
+        return seminorms.SeminormEstimate(s, seminorms.gowers_norm_cyclic(f, s), (self.m,) * (s - 1))
+
 
 @dataclass(frozen=True)
-class Rotation:
+class Torus:
+    """The rotation (dim 1) or the skew product (dim 2) by alpha."""
+
+    dim: int
     alpha: float = ALPHA_DEFAULT
-    dim: ClassVar[int] = 1
+
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ValueError("only 1- and 2-dimensional tori are supported")
+
+    def __str__(self) -> str:
+        return f"{self.name}:{self.alpha!r}"
+
+    @property
+    def name(self) -> str:
+        return ("rotation", "skew")[self.dim - 1]
+
+    @property
+    def default_set(self) -> Optional[str]:
+        return "arc:0.3:40" if self.dim == 1 else None
+
+    def check(self, f) -> None:
+        if not isinstance(f, FourierPoly) or f.dim != self.dim:
+            raise ValueError(f"{self} takes {self.dim}-dimensional Fourier polynomial observables")
+
+    def apply_power(self, f: FourierPoly, n: int) -> FourierPoly:
+        # e(k1 x + k2 y) pulls back to frequency (k1 + n k2, k2) with phase
+        # k1 n alpha + k2 n(n-1)/2 alpha; a rotation frequency (k,) is the
+        # k2 = 0 slice (k, 0).  Each phase is reduced mod 1 in Python ints
+        # with alpha = num / den, as frac_multiples does.  The shear keeps
+        # the k2-major order.
+        self.check(f)
+        n = int(n)
+        tri = n * (n - 1) // 2
+        num, den = self.alpha.as_integer_ratio()
+        k1s = f.freqs[:, 0].tolist()
+        k2s = f.freqs[:, 1].tolist() if f.dim == 2 else [0] * len(k1s)
+        amps = [
+            a * e(float(k1 * n * num % den) / den + (float(k2 * tri * num % den) / den if k2 else 0.0))
+            for k1, k2, a in zip(k1s, k2s, f.amps.tolist())
+        ]
+        shifted = [k1 + n * k2 for k1, k2 in zip(k1s, k2s)]
+        _check_reach(max(map(abs, shifted), default=0))
+        freqs = f.freqs.copy()
+        freqs[:, 0] = shifted
+        return FourierPoly(f.dim, freqs, np.array(amps, dtype=complex))
+
+    def integrate(self, f: FourierPoly) -> complex:
+        """Character orthogonality leaves the zero-frequency amplitude."""
+        self.check(f)
+        return f.amplitude((0,) * f.dim)
+
+    def constant(self, c: complex) -> FourierPoly:
+        return fourier_const(self.dim, c)
+
+    def default_function(self) -> FourierPoly:
+        return fourier_e(self.dim, (0,) * (self.dim - 1) + (1,))
+
+    def observable(self, kind: str, desc: dict) -> FourierPoly:
+        if kind == "fourier":
+            terms = json_field(desc, "terms", json_list)
+            entries = [(json_field(t, "freq", json_ints), _amplitude(t)) for t in terms]
+            return FourierPoly.make(self.dim, entries)
+        if kind == "arc":
+            if self.dim != 1:
+                raise ValueError("arc functions live on the rotation")
+            beta = json_field(desc, "beta", _real)
+            return fejer_arc(beta, json_field(desc, "n_terms", json_int, 40))
+        raise ValueError(f"function kind {kind!r} does not fit this system")
+
+    def average(self, J, functions, w) -> FourierPoly:
+        """T^j moves frequency (k1, k2) to (k1 + j k2, k2), so the term
+        combinations whose k2 are all 0 land on one frequency for every n
+        and are contracted together; any other lands on a frequency per n,
+        and its N rows are merged into the sum before the next
+        combination."""
+        N = len(w)
+        rows = [np.pad(f.freqs, ((0, 0), (0, 2 - f.dim))) for f in functions]
+        still = [np.flatnonzero(r[:, 1] == 0) for r in rows]
+        # Only the combinations with some k2 != 0 are enumerated one by one.
+        combos = math.prod(map(len, rows)) - math.prod(map(len, still))
+        _check_budget(combos)
+        # |sum_i k1_i + k2_i j_i(n)| is bounded before int64 arithmetic forms it
+        reach = 0
+        for r, j in zip(rows, J):
+            jmax = max(-int(j.min(initial=0)), int(j.max(initial=0)))
+            reach += int(np.abs(r[:, 0]).max(initial=0)) + int(np.abs(r[:, 1]).max(initial=0)) * (1 + jmax)
+        _check_reach(reach)
+        lin = [frac_multiples(self.alpha, j.tolist()) for j in J]
+        # Phases k * frac(j alpha) are off by at most |k| ulps.  Triangular
+        # numbers overflow int64 for large iterates, so Python ints feed the
+        # exact reduction; only k2 != 0 terms need them.
+        tri = [
+            frac_multiples(self.alpha, [x * (x - 1) // 2 for x in j.tolist()]) if r[:, 1].any() else None
+            for j, r in zip(J, rows)
+        ]
+        acc = FourierPoly.zero(2)
+        if all(map(len, still)):
+            ks = [r[t, 0] for r, t in zip(rows, still)]
+            amps = [f.amps[t] for f, t in zip(functions, still)]
+            k, a = _contract_stationary(ks, amps, lin, w)
+            acc = _canonical(2, np.column_stack([k, 0 * k]), a)
+        # Every combination with some k2 != 0 once: i is the first iterate with one.
+        for combo in itertools.chain.from_iterable(
+            itertools.product(*still[:i], np.flatnonzero(r[:, 1]), *map(range, map(len, rows[i + 1 :])))
+            for i, r in enumerate(rows)
+        ):
+            k1, k2, amp, phase = 0, 0, 1 + 0j, np.zeros(N)
+            for r, f, t, j, bl, bt in zip(rows, functions, combo, J, lin, tri):
+                c1, c2 = r[t].tolist()
+                amp *= complex(f.amps[t])
+                if c1:
+                    phase += (c1 * bl) % 1.0
+                if c2:
+                    phase += (c2 * bt) % 1.0
+                k1 = k1 + c1 + c2 * j
+                k2 += c2
+            contrib = amp * w * np.exp(2j * np.pi * phase) / N
+            freqs = np.vstack([acc.freqs, np.column_stack([k1, np.full(N, k2)])])
+            acc = _canonical(2, freqs, np.concatenate([acc.amps, contrib]))
+        return FourierPoly(self.dim, acc.freqs[:, : self.dim], acc.amps)
+
+    def check_degree(self, s: int) -> None:
+        if not 1 <= s <= 3:
+            raise ValueError(f"estimates take degrees s = 1..3, got {s} (term growth is squared per level)")
+
+    def seminorm(self, f: FourierPoly, s: int, N_schedule: Optional[Sequence[int]] = None):
+        """The truncated recursion, at DEFAULT_SCHEDULES[s] by default."""
+        from . import seminorms  # here, not at the top: seminorms imports this module
+
+        return seminorms.hk_seminorm_estimate(self, f, s, N_schedule)
 
 
-@dataclass(frozen=True)
-class Skew:
-    alpha: float = ALPHA_DEFAULT
-    dim: ClassVar[int] = 2
+Rotation = partial(Torus, 1)
+Skew = partial(Torus, 2)
 
-
-SystemSpec = Union[Cyclic, Rotation, Skew]
+SystemSpec = Union[Cyclic, Torus]
 
 _TORI = {"rotation": Rotation, "skew": Skew}
 
 
 def describe(sys: SystemSpec) -> str:
     """The ``--system`` text of a system; ``parse_system`` reads it back."""
-    if isinstance(sys, Cyclic):
-        return f"cyclic:{sys.m}"
-    return f"{type(sys).__name__.lower()}:{sys.alpha!r}"
+    return str(sys)
 
 
 def parse_system(text: str) -> SystemSpec:
@@ -134,6 +322,36 @@ def frac_multiples(alpha: float, ns: Iterable[int]) -> np.ndarray:
     num, den = float(alpha).as_integer_ratio()
     fden = float(den)
     return np.array([(int(n) * num % den) / fden for n in ns])
+
+
+def _contract_stationary(ks, amps, lin, w) -> tuple[np.ndarray, np.ndarray]:
+    """(1/N) sum_n w(n) prod_i a_i e(k_i frac(j_i(n) alpha)) over every
+    combination of terms (k_i, a_i), one term of each iterate's
+    frequencies ks[i] and amplitudes amps[i]; returns sums of k_i and
+    their amplitudes, a sum repeated when it arises in several ways.
+
+    Per CHUNK indices n, C_i[n, t] = a_t e(k_t frac(j_i(n) alpha)).  w C_1,
+    ..., C_(l-1) fold into P[n, F] over the distinct frequency sums F, and
+    one GEMM P^T C_l contracts the last iterate over n.  Each amplitude is
+    its N terms summed in another order: about N eps sum|a| off."""
+    # The frequency sums after each but the last iterate, and where sum F
+    # times term t goes.
+    sums, places = np.zeros(1, dtype=np.int64), []
+    for k in ks[:-1]:
+        sums, inv = np.unique(np.add.outer(sums, k).ravel(), return_inverse=True)
+        places.append(inv.reshape(-1, len(k)))
+    G = np.zeros((len(sums), len(ks[-1])), dtype=complex)
+    for lo in range(0, len(w), CHUNK):
+        x = [np.outer(b[lo : lo + CHUNK], k) for k, b in zip(ks, lin)]
+        C = [a * np.exp(2j * np.pi * (y - np.floor(y))) for a, y in zip(amps, x)]  # y % 1.0, bit for bit
+        P = w[lo : lo + CHUNK, None].astype(complex)
+        for Ci, inv in zip(C[:-1], places):
+            folded = np.zeros((len(P), inv.max() + 1), dtype=complex)
+            for f in range(P.shape[1]):
+                folded[:, inv[f]] += P[:, f, None] * Ci
+            P = folded
+        G += P.T @ C[-1]
+    return np.add.outer(sums, ks[-1]).ravel(), (G / len(w)).ravel()
 
 
 def e(x: float) -> complex:
@@ -200,6 +418,24 @@ class FourierPoly:
             raise ValueError("dimension mismatch")
         return _canonical(self.dim, np.vstack([self.freqs, other.freqs]), np.hstack([self.amps, other.amps]))
 
+    def multiply(self, other: "FourierPoly") -> "FourierPoly":
+        """Frequency convolution; refuses (loudly) to exceed TERM_BUDGET terms."""
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        needed = len(self.amps) * len(other.amps)
+        _check_budget(needed)
+        _check_reach(_reach(self) + _reach(other))
+        freqs = (self.freqs[:, None, :] + other.freqs[None, :, :]).reshape(needed, self.dim)
+        return _canonical(self.dim, freqs, np.multiply.outer(self.amps, other.amps).ravel())
+
+    def l2_norm(self) -> float:
+        """Parseval: exact on the Fourier side."""
+        return float(np.linalg.norm(self.amps))
+
+    def is_real(self) -> bool:
+        # f - conj(f): conjugate() has conj(f_(-k)) at k
+        return not np.any(np.abs((self + self.conjugate().scale(-1)).amps) > 1e-12)
+
 
 def _check_reach(reach: int) -> None:
     """Frequencies are int64 with |k| < 2^63, so negating one cannot wrap;
@@ -247,6 +483,39 @@ class CyclicFunction:
     def scale(self, c: complex) -> "CyclicFunction":
         return CyclicFunction(self.m, tuple(v * c for v in self.values))
 
+    def _pairs(self, other) -> Iterable[tuple[complex, complex]]:
+        if not isinstance(other, CyclicFunction) or other.m != self.m:
+            raise ValueError("modulus mismatch")
+        return zip(self.values, other.values)
+
+    def __add__(self, other: "CyclicFunction") -> "CyclicFunction":
+        return CyclicFunction(self.m, tuple(a + b for a, b in self._pairs(other)))
+
+    def multiply(self, other: "CyclicFunction") -> "CyclicFunction":
+        return CyclicFunction(self.m, tuple(a * b for a, b in self._pairs(other)))
+
+    def l2_norm(self) -> float:
+        return float(np.sqrt(np.mean(np.abs(self.as_array()) ** 2)))
+
+    def is_real(self) -> bool:
+        return not any(abs(v.imag) > 1e-12 for v in self.values)
+
+
+def _real(value) -> float:
+    """A JSON number; a boolean, which Python counts as one, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _amplitude(desc, default_re: Optional[float] = None) -> complex:
+    """A JSON descriptor's ``re`` + i ``im``, ``im`` 0 when absent."""
+    return complex(json_field(desc, "re", _real, default_re), json_field(desc, "im", _real, 0.0))
+
+
+def _complex_pairs(value) -> list[complex]:
+    return [complex(_real(re), _real(im)) for re, im in json_list(value)]
+
 
 def fourier_e(dim: int, freq: Sequence[int]) -> FourierPoly:
     """The single character with the given frequency."""
@@ -255,13 +524,6 @@ def fourier_e(dim: int, freq: Sequence[int]) -> FourierPoly:
 
 def fourier_const(dim: int, c: complex) -> FourierPoly:
     return FourierPoly.make(dim, [((0,) * dim, c)])
-
-
-def constant(sys: SystemSpec, c: complex):
-    """The constant observable c on the system."""
-    if isinstance(sys, Cyclic):
-        return CyclicFunction.make(sys.m, [c] * sys.m)
-    return fourier_const(sys.dim, c)
 
 
 def indicator(m: int, points: Iterable[int]) -> CyclicFunction:
@@ -292,82 +554,28 @@ def fejer_arc(beta: float, n_terms: int) -> FourierPoly:
 
 
 # ---------------------------------------------------------------------------
-# dynamics
-
-def _check_observable(sys: SystemSpec, f) -> None:
-    if isinstance(sys, Cyclic):
-        if not isinstance(f, CyclicFunction) or f.m != sys.m:
-            raise ValueError("cyclic systems take CyclicFunction observables of matching modulus")
-    elif isinstance(sys, (Rotation, Skew)):
-        if not isinstance(f, FourierPoly) or f.dim != sys.dim:
-            raise ValueError(f"{describe(sys)} takes {sys.dim}-dimensional Fourier polynomial observables")
-    else:
-        raise TypeError(f"unknown system {sys!r}")
-
+# module functions that call the methods
 
 def apply_power(sys: SystemSpec, f, n: int):
     """The pullback f compose T^n, in closed form for any integer n."""
-    _check_observable(sys, f)
-    n = int(n)
-    if isinstance(sys, Cyclic):
-        j = n % sys.m
-        vals = f.values[j:] + f.values[:j]
-        return CyclicFunction(sys.m, vals)
-    # Torus: e(k1 x + k2 y) pulls back to frequency (k1 + n k2, k2) with
-    # phase k1 n alpha + k2 n(n-1)/2 alpha; a rotation frequency (k,) is
-    # the k2 = 0 slice (k, 0).  Each phase is reduced mod 1 in Python ints
-    # with alpha = num / den, as frac_multiples does.  The shear keeps the
-    # k2-major order.
-    tri = n * (n - 1) // 2
-    num, den = sys.alpha.as_integer_ratio()
-    k1s = f.freqs[:, 0].tolist()
-    k2s = f.freqs[:, 1].tolist() if f.dim == 2 else [0] * len(k1s)
-    amps = [
-        a * e(float(k1 * n * num % den) / den + (float(k2 * tri * num % den) / den if k2 else 0.0))
-        for k1, k2, a in zip(k1s, k2s, f.amps.tolist())
-    ]
-    shifted = [k1 + n * k2 for k1, k2 in zip(k1s, k2s)]
-    _check_reach(max(map(abs, shifted), default=0))
-    freqs = f.freqs.copy()
-    freqs[:, 0] = shifted
-    return FourierPoly(f.dim, freqs, np.array(amps, dtype=complex))
+    return sys.apply_power(f, n)
 
 
 def integrate(sys: SystemSpec, f) -> complex:
-    """Exact mean: character orthogonality leaves the zero-frequency
-    amplitude; on Z/m it is the plain average of the values."""
-    _check_observable(sys, f)
-    if isinstance(sys, Cyclic):
-        return complex(np.mean(f.as_array()))
-    return f.amplitude((0,) * f.dim)
+    """The exact mean."""
+    return sys.integrate(f)
 
 
 def multiply(f, g):
-    """Pointwise product; on Fourier polynomials this is frequency
+    """The pointwise product; on Fourier polynomials this is frequency
     convolution and refuses (loudly) to exceed TERM_BUDGET terms."""
-    if isinstance(f, CyclicFunction):
-        if not isinstance(g, CyclicFunction) or g.m != f.m:
-            raise ValueError("modulus mismatch")
-        return CyclicFunction(f.m, tuple(a * b for a, b in zip(f.values, g.values)))
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    needed = len(f.amps) * len(g.amps)
-    _check_budget(needed)
-    _check_reach(_reach(f) + _reach(g))
-    freqs = (f.freqs[:, None, :] + g.freqs[None, :, :]).reshape(needed, f.dim)
-    return _canonical(f.dim, freqs, np.multiply.outer(f.amps, g.amps).ravel())
+    return f.multiply(g)
 
 
 def l2_norm(f) -> float:
-    if isinstance(f, CyclicFunction):
-        return float(np.sqrt(np.mean(np.abs(f.as_array()) ** 2)))
-    return float(np.linalg.norm(f.amps))
+    return f.l2_norm()
 
 
 def l2_distance(f, g) -> float:
     """Parseval distance; exact on the Fourier side."""
-    if isinstance(f, CyclicFunction):
-        if not isinstance(g, CyclicFunction) or g.m != f.m:
-            raise ValueError("modulus mismatch")
-        return float(np.sqrt(np.mean(np.abs(f.as_array() - g.as_array()) ** 2)))
     return l2_norm(f + g.scale(-1))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fracergo import averages, systems
 from fracergo.averages import (
-    CHUNK,
     DeltaVonMangoldt,
     ExperimentResult,
     IterateSpec,
@@ -31,6 +30,7 @@ from fracergo.fracpoly import Family, rexp_poly
 from fracergo.primes import cube
 from fracergo.seminorms import gowers_norm_cyclic
 from fracergo.systems import (
+    CHUNK,
     Cyclic,
     CyclicFunction,
     FourierPoly,
@@ -805,7 +805,7 @@ def test_cfprime_experiment_refuses_decreasing_lengths_before_any_work(table, mo
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the lengths were checked")
 
-    monkeypatch.setattr(averages, "hk_seminorm_estimate", no_work)
+    monkeypatch.setattr(systems.Torus, "seminorm", no_work)
     monkeypatch.setattr(averages, "multi_average", no_work)
     fam = Family((rexp_poly(0, THREEHALF),))
     with pytest.raises(ValueError, match="average lengths must increase"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracergo
-from fracergo import primes, systems
+from fracergo import fracpoly, primes, systems
 from fracergo.cli import _build_function, main
 from fracergo.fracpoly import Family, family_from_json, family_to_json, rexp_poly
 from fracergo.primes import count_prime_tuples, load_table, sieve
@@ -82,6 +82,29 @@ def test_pet_trivial_family(tmp_path):
     assert rc == 0
     _, rows = read_rows(tmp_path, "pet")
     assert rows == [["0", "2"]]
+
+
+def test_pet_refuses_a_reduction_past_the_family_budget(tmp_path, capsys, monkeypatch):
+    # {t^(5/2), t^(3/2)} about doubles its family at every step; a lowered
+    # budget stops it at step 8 instead of at 10^4 members
+    monkeypatch.setattr(fracpoly, "FAMILY_BUDGET", 100)
+    fam = write_family(tmp_path / "fam.json", [{F(5, 2): 1}, {F(3, 2): 1}])
+    assert main(["pet", "--family", fam, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: step 8 could build 172 members, past the family budget of 100; "
+        "the type reached is (1,5,6)\n"
+    )
+    assert not (tmp_path / "out" / "pet.json").exists()
+
+
+def test_an_error_without_text_prints_its_name(tmp_path, capsys, monkeypatch):
+    def out_of_memory(fam):
+        raise MemoryError()
+
+    monkeypatch.setattr(fracpoly, "pet_reduce", out_of_memory)
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    assert main(["pet", "--family", fam, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +225,55 @@ def test_jointavg_certificate_run(tmp_path):
 def test_jointavg_cyclic_certificate_refuses_degree_3_past_modulus_10_to_the_4(tmp_path, capsys):
     # the exact Z/m certificate takes m^(s-1) <= 10^8
     fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    cache = tmp_path / "c.bin"
     assert main(["jointavg", "--system", "cyclic:10001", "--family", fam, "--cert-degree", "3",
-                 "--N", "10,20", "--out", str(tmp_path)]) == 1
+                 "--N", "10,20", "--cache", str(cache), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: degree 3 on modulus 10001 is out of budget\n"
     assert not (tmp_path / "jointavg.csv").exists()
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("system, members, degree, N, functions, message", [
+    ("rotation", [{F(3, 2): 1}], "7", "1000,100000", None,
+     "estimates take degrees s = 1..3, got 7 (term growth is squared per level)"),
+    ("cyclic:20000", [{F(3, 2): 1}], "3", "1000,100000", None, "degree 3 on modulus 20000 is out of budget"),
+    ("cyclic:3", [{F(3, 2): 1}], "0", "10,20", None, "degree must be at least 1"),
+    ("skew", [{F(3, 2): 1}, {F(3, 2): 1}], "2", "10,20", None, "the iterate family must be nice"),
+    ("skew", [{F(5, 2): 1}, {F(3, 2): 1}, {F(3, 2): 1}], "2", "10,20", None,
+     "family members must be pairwise distinct"),
+    ("skew", [{F(5, 2): 1}, {F(3, 2): 1}], "2", "10,20", 3, "need 2 observables, file has 3"),
+])
+def test_jointavg_certificate_refusals_come_before_any_sieve(
+    tmp_path, capsys, monkeypatch, system, members, degree, N, functions, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sieved or cached before the refusal")
+
+    monkeypatch.setattr(primes, "sieve", refuse)
+    monkeypatch.setattr(primes, "save_table", refuse)
+    cache, out = tmp_path / "c.bin", tmp_path / "out"
+    argv = ["jointavg", "--system", system, "--family", write_family(tmp_path / "fam.json", members),
+            "--cert-degree", degree, "--N", N, "--cache", str(cache), "--out", str(out)]
+    if functions is not None:
+        desc = {"kind": "fourier", "terms": [{"freq": [0, 1], "re": 1.0}]}
+        argv += ["--functions", write_functions(tmp_path / "fn.json", [desc] * functions)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not cache.exists()
+    assert not out.exists()
+
+
+def test_jointavg_cyclic_certificate_is_the_seminorm_at_every_degree_in_budget(tmp_path):
+    # degree 4 is past the torus recursion's s <= 3, but within m^(s-1) <= 10^8 on Z/3
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    assert main(["jointavg", "--system", "cyclic:3", "--family", fam, "--cert-degree", "4",
+                 "--N", "10,20", "--out", str(tmp_path)]) == 0
+    assert main(["seminorm", "--system", "cyclic:3", "--s", "4", "--out", str(tmp_path)]) == 0
+    meta = read_sidecar(tmp_path, "jointavg")["metadata"]
+    (degree, value), = read_sidecar(tmp_path, "seminorm")["series"]
+    assert degree == 4
+    assert meta["seminorm_value"] == value == pytest.approx(0.7094137599636066, rel=1e-12)
+    assert meta["seminorm_schedule"] == [3, 3, 3]
 
 
 def test_jointavg_certificate_names_the_lambda_weight(tmp_path):
