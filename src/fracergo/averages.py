@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import partial
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .fracpoly import Family, RealExpPoly, family_to_json, is_nice
-from .primes import PrimeTable, von_mangoldt_cube
+from .primes import PrimeTable, cube, von_mangoldt_cube
 from .systems import SystemSpec, describe, frac_multiples, integrate, l2_distance, l2_norm
 
 GUARD_ABS = 1e-9
@@ -61,45 +62,46 @@ class IterateSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-# Weights attached to the averaging index n.  All are evaluated at the
-# summation index itself, also in primes mode where the iterate argument
-# is p_n: the weight stays a function of n.
-
 @dataclass(frozen=True)
-class Unweighted:
-    pass
+class Weight:
+    """The weight at the averaging index n: the product of Lambda(n + s)
+    over s in cube(shifts), Lambda being log n on primes and 0 elsewhere;
+    ``()`` gives Lambda itself and ``None`` the weight 1.  It is a function
+    of n also in primes mode, and never renormalized: the mean of Lambda
+    tending to 1 is part of what the experiments watch."""
 
-
-@dataclass(frozen=True)
-class VonMangoldt:
-    """Restriction of the von Mangoldt function to the primes: log n on
-    primes, 0 elsewhere.  Never renormalized; its mean tending to 1 is
-    part of what the experiments watch."""
-
-
-@dataclass(frozen=True)
-class DeltaVonMangoldt:
-    """Product of the prime von Mangoldt weight over a cube of shifts."""
-
-    shifts: tuple[int, ...]
+    shifts: Optional[tuple[int, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(int(h) for h in self.shifts))
+        if self.shifts is not None:
+            object.__setattr__(self, "shifts", tuple(int(h) for h in self.shifts))
+
+    def __str__(self) -> str:
+        """The ``--weight`` text; ``parse_weight`` reads it back."""
+        if self.shifts is None:
+            return "none"
+        return ("delta:" + ",".join(map(str, self.shifts))) if self.shifts else "lambda"
+
+    def reach(self, N: int) -> int:
+        """The sieve limit the weight reads at length N (0: it reads none)."""
+        if self.shifts is None:
+            return 0
+        if min(cube(self.shifts)) < 0:  # as von_mangoldt_cube refuses, but before any sieve
+            raise ValueError("cube offsets must be non-negative")
+        return N + max(cube(self.shifts))
 
 
-WeightSpec = Union[Unweighted, VonMangoldt, DeltaVonMangoldt]
+Unweighted = partial(Weight, None)
+VonMangoldt = partial(Weight, ())
+DeltaVonMangoldt = Weight
 
 
-def describe_weight(w: WeightSpec) -> str:
+def describe_weight(w: Weight) -> str:
     """The ``--weight`` text of a weight; ``parse_weight`` reads it back."""
-    if isinstance(w, Unweighted):
-        return "none"
-    if isinstance(w, VonMangoldt):
-        return "lambda"
-    return "delta:" + ",".join(str(h) for h in w.shifts)
+    return str(w)
 
 
-def parse_weight(text: str) -> WeightSpec:
+def parse_weight(text: str) -> Weight:
     """``none``, ``lambda`` or ``delta:h1,h2,...``."""
     if text == "none":
         return Unweighted()
@@ -111,15 +113,13 @@ def parse_weight(text: str) -> WeightSpec:
     return DeltaVonMangoldt(tuple(map(int, shifts)))
 
 
-def weight_values(weight: WeightSpec, N: int, table: Optional[PrimeTable] = None) -> np.ndarray:
+def weight_values(weight: Weight, N: int, table: Optional[PrimeTable] = None) -> np.ndarray:
     """The weight sequence at n = 1, ..., N as a float array."""
-    if isinstance(weight, Unweighted):
+    if weight.shifts is None:
         return np.ones(N)
     if table is None:
         raise ValueError("prime-based weights need a sieve table")
-    # The plain weight is the cube product over no shifts.
-    shifts = weight.shifts if isinstance(weight, DeltaVonMangoldt) else ()
-    return von_mangoldt_cube(table, shifts, N)
+    return von_mangoldt_cube(table, weight.shifts, N)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +305,8 @@ def _gather_iterates(
     return [iterate_values(spec, ns, table) for spec in iterates]
 
 
-def _product_benchmark(sys, functions, weight) -> complex:
-    if isinstance(weight, DeltaVonMangoldt):
+def _product_benchmark(sys, functions, weight: Weight) -> complex:
+    if weight.shifts:  # a cube difference averages to zero
         return 0j
     b = 1 + 0j
     for f in functions:
@@ -318,7 +318,7 @@ def multi_average(
     sys: SystemSpec,
     iterates: Sequence[IterateSpec],
     functions: Sequence,
-    weight: WeightSpec,
+    weight: Weight,
     N: int,
     table: Optional[PrimeTable] = None,
 ) -> MultiAverage:

@@ -75,10 +75,9 @@ def _build_function(desc: dict, sys_spec):
 
 
 def _load_functions(args, sys_spec, count: int) -> list:
-    path = getattr(args, "functions", None)
-    if path is None:
+    if args.functions is None:
         return [sys_spec.default_function()] * count
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(args.functions, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     funcs = [_build_function(d, sys_spec) for d in json_field(data, "functions", json_list)]
     if len(funcs) == 1 and count > 1:
@@ -207,7 +206,7 @@ def cmd_jointavg(args):
     weight = averages.parse_weight(args.weight)
     N_list = _increasing(args.N, "--N")
     if args.cert_degree is not None:
-        if args.mode == "primes" or isinstance(weight, averages.DeltaVonMangoldt):
+        if args.mode == "primes" or weight.shifts:
             raise ValueError("--cert-degree runs over the integers with the lambda weight; "
                              "drop --mode primes and --weight delta:...")
         fam = fracpoly.Family(tuple(s.poly for s in specs))
@@ -237,15 +236,12 @@ def cmd_jointavg(args):
 
 
 def _table_for_averages(args, specs, weight, N_list) -> Optional[primes.PrimeTable]:
-    Nmax = max(N_list)
-    limit = 0
+    if N_list[0] < 1:  # refused before the table is sieved and cached
+        raise ValueError("empty average")
+    limit = weight.reach(N_list[-1])
     if any(s.mode == "primes" for s in specs):
-        limit = _nth_prime_bound(Nmax)
-    if not isinstance(weight, averages.Unweighted):  # lambda has no shifts: cube(()) == (0,)
-        limit = max(limit, Nmax + max(primes.cube(getattr(weight, "shifts", ()))))
-    if limit == 0:
-        return None
-    return primes.sieve(limit, args.cache)
+        limit = max(limit, _nth_prime_bound(N_list[-1]))
+    return primes.sieve(max(limit, 2), args.cache) if limit else None  # lambda at N = 1 reads up to 1
 
 
 def cmd_recurrence(args):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracergo
-from fracergo import fracpoly, primes, systems
+import installed_checks
+from fracergo import averages, fracpoly, primes, systems
 from fracergo.cli import _build_function, main
 from fracergo.fracpoly import Family, family_from_json, family_to_json, rexp_poly
 from fracergo.primes import count_prime_tuples, load_table, sieve
@@ -57,6 +58,13 @@ def test_importing_the_cli_leaves_mpmath_unloaded(pell_pair):
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["4", "-1"]
+
+
+def test_installed_checks_pass_through_the_module(tmp_path, monkeypatch):
+    # CI runs the same script through a bare venv's console script
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracergo.__file__)))
+    monkeypatch.setenv("PYTHONPATH", src)
+    installed_checks.main([sys.executable, "-m", "fracergo.cli"], str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -233,30 +241,154 @@ def test_jointavg_cyclic_certificate_refuses_degree_3_past_modulus_10_to_the_4(t
     assert not cache.exists()
 
 
-@pytest.mark.parametrize("system, members, degree, N, functions, message", [
-    ("rotation", [{F(3, 2): 1}], "7", "1000,100000", None,
-     "estimates take degrees s = 1..3, got 7 (term growth is squared per level)"),
-    ("cyclic:20000", [{F(3, 2): 1}], "3", "1000,100000", None, "degree 3 on modulus 20000 is out of budget"),
-    ("cyclic:3", [{F(3, 2): 1}], "0", "10,20", None, "degree must be at least 1"),
-    ("skew", [{F(3, 2): 1}, {F(3, 2): 1}], "2", "10,20", None, "the iterate family must be nice"),
-    ("skew", [{F(5, 2): 1}, {F(3, 2): 1}, {F(3, 2): 1}], "2", "10,20", None,
-     "family members must be pairwise distinct"),
-    ("skew", [{F(5, 2): 1}, {F(3, 2): 1}], "2", "10,20", 3, "need 2 observables, file has 3"),
-])
+_ONE_MEMBER = [{F(3, 2): 1}]
+_FOURIER = {"kind": "fourier", "terms": [{"freq": [0, 1], "re": 1.0}]}
+_SHIFTED = {"k": 1, "functions": [{"terms": [{"exponent": "3/2", "coeff": [{"c": "1", "powers": [1]}]}]}]}
+
+
+def _refusal(case_id, command, flags, message, members=_ONE_MEMBER, functions=None):
+    """One refused run: the subcommand, its flags, the family (exponent maps,
+    a family file's JSON, or None for sieve) and the --functions descriptors."""
+    return pytest.param(command, flags, members, functions, message, id=case_id)
+
+
+def _certificate(i, system, members, degree, N, functions, message):
+    """A refused jointavg --cert-degree run with `functions` copies of one
+    observable.  Its id, system-members<i>-degree-N-functions-message, is
+    the one pytest derives from these values as plain parameters, so that
+    the first six cases keep theirs."""
+    flags = ["--system", system, "--cert-degree", degree, "--N", N]
+    return _refusal(f"{system}-members{i}-{degree}-{N}-{functions}-{message}", "jointavg", flags, message,
+                    members, None if functions is None else [_FOURIER] * functions)
+
+
+def _bad_field(case_id, system, desc, message):
+    if "kind" not in desc:
+        desc = {"kind": "fourier", "terms": [desc]}
+    return _refusal(case_id, "jointavg", ["--system", system, "--mode", "primes", "--N", "10"], message,
+                    functions=[desc])
+
+
+_DEGREES = "estimates take degrees s = 1..3, got {} (term growth is squared per level)"
+_CERT_FLAGS = "--cert-degree runs over the integers with the lambda weight; drop --mode primes and --weight delta:..."
+_SKEW_SET = ("recurrence refuses every --g on the skew product: "
+             "indicator sets live on Z/m and arc functions live on the rotation")
+_PLAIN_SIEVE = "--N and --cutoff need --shifts: a plain sieve only counts the primes up to --limit"
+_SIEVE_LIMIT = "--limit is for a plain sieve: with --shifts the table covers max N + max shift and --cutoff"
+
+# Every argument refusal of the subcommands that sieve.  The runs with
+# --mode primes (or a Lambda weight) would sieve and cache a table if the
+# refusal came after it.
+_REFUSALS = [
+    _certificate(0, "rotation", [{F(3, 2): 1}], "7", "1000,100000", None, _DEGREES.format(7)),
+    _certificate(1, "cyclic:20000", [{F(3, 2): 1}], "3", "1000,100000", None,
+                 "degree 3 on modulus 20000 is out of budget"),
+    _certificate(2, "cyclic:3", [{F(3, 2): 1}], "0", "10,20", None, "degree must be at least 1"),
+    _certificate(3, "skew", [{F(3, 2): 1}, {F(3, 2): 1}], "2", "10,20", None, "the iterate family must be nice"),
+    _certificate(4, "skew", [{F(5, 2): 1}, {F(3, 2): 1}, {F(3, 2): 1}], "2", "10,20", None,
+                 "family members must be pairwise distinct"),
+    _certificate(5, "skew", [{F(5, 2): 1}, {F(3, 2): 1}], "2", "10,20", 3, "need 2 observables, file has 3"),
+    _refusal("jointavg-cyclic-degree-3-budget", "jointavg",
+             ["--system", "cyclic:10001", "--cert-degree", "3", "--N", "10,20"],
+             "degree 3 on modulus 10001 is out of budget"),
+    _refusal("jointavg-skew-degree-0", "jointavg", ["--system", "skew", "--cert-degree", "0", "--N", "10"],
+             _DEGREES.format(0)),
+    _refusal("jointavg-certificate-primes", "jointavg",
+             ["--system", "skew", "--cert-degree", "2", "--N", "100", "--mode", "primes"], _CERT_FLAGS),
+    _refusal("jointavg-certificate-delta", "jointavg",
+             ["--system", "skew", "--cert-degree", "2", "--N", "100", "--weight", "delta:2"], _CERT_FLAGS),
+    _refusal("jointavg-unknown-system", "jointavg", ["--system", "galois:7", "--mode", "primes", "--N", "10"],
+             "unknown system 'galois:7'"),
+    _refusal("jointavg-infinite-angle", "jointavg",
+             ["--system", "rotation:inf", "--mode", "primes", "--N", "10"], "rotation angle must be finite, got 'inf'"),
+    _refusal("jointavg-weight-bounded", "jointavg", ["--system", "cyclic:3", "--weight", "bounded", "--N", "10"],
+             "unknown weight 'bounded'"),
+    _refusal("jointavg-weight-empty-delta", "jointavg", ["--system", "cyclic:3", "--weight", "delta:", "--N", "10"],
+             "unknown weight 'delta:'"),
+    _refusal("jointavg-weight-delta-x", "jointavg", ["--system", "cyclic:3", "--weight", "delta:x", "--N", "10"],
+             "invalid literal for int() with base 10: 'x'"),
+    _refusal("jointavg-weight-negative-cube", "jointavg",
+             ["--system", "cyclic:3", "--weight", "delta:3,-1", "--N", "10"], "cube offsets must be non-negative"),
+    _refusal("jointavg-primes-N-0", "jointavg", ["--system", "rotation", "--mode", "primes", "--N", "0"],
+             "empty average"),
+    _refusal("jointavg-observable-count", "jointavg", ["--system", "rotation", "--mode", "primes", "--N", "10"],
+             "need 3 observables, file has 2", [{F(3, 2): 1}, {F(5, 4): 1}, {F(9, 8): 1}], [{"kind": "constant"}] * 2),
+    _refusal("jointavg-shift-parameters", "jointavg", ["--system", "rotation", "--mode", "primes", "--N", "10"],
+             "iterate functions take no shift parameters", _SHIFTED),
+    _bad_field("fourier-string-re", "rotation", {"freq": [1], "re": "a"}, "field 're': expected a number, got 'a'"),
+    _bad_field("fourier-missing-re", "rotation", {"freq": [1], "im": 0.5}, "missing field 're'"),
+    _bad_field("fourier-null-freq", "skew", {"freq": [0, None], "re": 1.0},
+               "field 'freq': 'NoneType' object cannot be interpreted as an integer"),
+    _bad_field("arc-string-beta", "rotation", {"kind": "arc", "beta": "0.3"},
+               "field 'beta': expected a number, got '0.3'"),
+    _bad_field("cyclic-bad-values", "cyclic:2", {"kind": "cyclic", "values": [[1, 0], "x"]},
+               "field 'values': not enough values to unpack (expected 2, got 1)"),
+    _bad_field("fourier-bool-freq", "skew", {"freq": [True, 0], "re": 1.0}, "field 'freq': expected an integer, got True"),
+    _bad_field("arc-bool-order", "rotation", {"kind": "arc", "beta": 0.3, "n_terms": True},
+               "field 'n_terms': expected an integer, got True"),
+    _bad_field("indicator-bool-points", "cyclic:5", {"kind": "indicator", "points": [True]},
+               "field 'points': expected an integer, got True"),
+    _refusal("equidist-decreasing-N", "equidist", ["--mode", "primes", "--N", "100,50"],
+             "--N must be strictly increasing"),
+    _refusal("equidist-frequency-count", "equidist", ["--mode", "primes", "--t", "1/3", "--N", "10"],
+             "need one frequency per family member", [{F(3, 2): 1}, {F(5, 4): 1}]),
+    _refusal("equidist-shift-parameters", "equidist", ["--mode", "primes", "--N", "10"],
+             "iterate functions take no shift parameters", _SHIFTED),
+    _refusal("equidist-primes-N-0", "equidist", ["--mode", "primes", "--N", "0"], "empty average"),
+    *(_refusal(f"recurrence-{system}-N={lengths}", "recurrence",
+               ["--system", system, "--mode", "primes", f"--N={lengths}"], "empty average")
+      for system in ["rotation", "cyclic:5"] for lengths in ["0", "0,10", "-3"]),
+    _refusal("recurrence-mismatched-set", "recurrence",
+             ["--system", "rotation", "--g", "indicator:0", "--mode", "primes", "--N", "100"],
+             "function kind 'indicator' does not fit this system"),
+    _refusal("recurrence-skew-without-set", "recurrence", ["--system", "skew", "--mode", "primes", "--N", "10"],
+             _SKEW_SET),
+    *(_refusal(f"recurrence-set-{g}-{system}", "recurrence",
+               ["--system", system, "--g", g, "--mode", "primes", "--N", "10"], message)
+      for g, system, message in [
+          ("arc:abc", "rotation", "could not convert string to float: 'abc'"),
+          ("indicator:1,x", "cyclic:5", "not a comma-separated integer list: '1,x'"),
+          ("disc:0.3", "rotation", "sets are given as indicator:p1,p2,... or arc:beta[:n_terms]"),
+          ("arc:0.3", "cyclic:5", "function kind 'arc' does not fit a cyclic system"),
+          ("arc:0.3", "skew", _SKEW_SET),
+      ]),
+    _refusal("recurrence-infinite-angle", "recurrence", ["--system", "skew:-inf", "--mode", "primes", "--N", "10"],
+             "skew angle must be finite, got '-inf'"),
+    _refusal("recurrence-negative-arc-order", "recurrence",
+             ["--system", "rotation", "--g", "arc:0.3:-5", "--mode", "primes", "--N", "10"],
+             "arc order must be non-negative, got -5"),
+    _refusal("sieve-plain-N", "sieve", ["--limit", "1000", "--N", "7"], _PLAIN_SIEVE, None),
+    _refusal("sieve-plain-cutoff", "sieve", ["--limit", "1000", "--cutoff", "3"], _PLAIN_SIEVE, None),
+    _refusal("sieve-negative-N", "sieve", ["--shifts", "0,2", "--N", "-5"], "counting length N must be >= 0, got -5", None),
+    _refusal("sieve-decreasing-N", "sieve", ["--shifts", "0,2", "--N", "3,1"], "--N must be strictly increasing", None),
+    _refusal("sieve-tuples-limit", "sieve", ["--shifts", "0,2", "--N", "100", "--cutoff", "1000", "--limit", "5000"],
+             _SIEVE_LIMIT, None),
+    # singular_series refuses the cutoff only after the table is sieved and cached
+    pytest.param("sieve", ["--shifts", "0", "--N", "1", "--cutoff", "1"], None, None,
+                 "cutoff 1 below the largest pairwise difference 0", id="sieve-cutoff-below-two",
+                 marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+]
+
+
+@pytest.mark.parametrize("command, flags, members, functions, message", _REFUSALS)
 def test_jointavg_certificate_refusals_come_before_any_sieve(
-    tmp_path, capsys, monkeypatch, system, members, degree, N, functions, message
+    tmp_path, capsys, monkeypatch, command, flags, members, functions, message
 ):
     def refuse(*args, **kwargs):
-        raise AssertionError("sieved or cached before the refusal")
+        raise AssertionError("sieved, cached or iterated before the refusal")
 
     monkeypatch.setattr(primes, "sieve", refuse)
     monkeypatch.setattr(primes, "save_table", refuse)
+    monkeypatch.setattr(averages, "iterate_values", refuse)
     cache, out = tmp_path / "c.bin", tmp_path / "out"
-    argv = ["jointavg", "--system", system, "--family", write_family(tmp_path / "fam.json", members),
-            "--cert-degree", degree, "--N", N, "--cache", str(cache), "--out", str(out)]
+    argv = [command, *flags, "--cache", str(cache), "--out", str(out)]
+    if isinstance(members, dict):
+        (tmp_path / "fam.json").write_text(json.dumps(members))
+        argv += ["--family", str(tmp_path / "fam.json")]
+    elif members is not None:
+        argv += ["--family", write_family(tmp_path / "fam.json", members)]
     if functions is not None:
-        desc = {"kind": "fourier", "terms": [{"freq": [0, 1], "re": 1.0}]}
-        argv += ["--functions", write_functions(tmp_path / "fn.json", [desc] * functions)]
+        argv += ["--functions", write_functions(tmp_path / "fn.json", functions)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not cache.exists()
@@ -438,19 +570,6 @@ def test_plain_sieve_refuses_tuple_flags(tmp_path, capsys, flags):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: --N and --cutoff need --shifts")
     assert not (tmp_path / "sieve.csv").exists()
-
-
-def test_sieve_refuses_a_negative_counting_length(tmp_path, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sieved before the counting length was checked")
-
-    monkeypatch.setattr(primes, "sieve", refuse)
-    cache = tmp_path / "c.bin"
-    argv = ["sieve", "--shifts", "0,2", "--N", "-5", "--cache", str(cache), "--out", str(tmp_path)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: counting length N must be >= 0, got -5\n"
-    assert not (tmp_path / "sieve.csv").exists()
-    assert not cache.exists()
 
 
 def test_sieve_tuple_cutoff_defaults_to_a_million(tmp_path):
@@ -806,6 +925,15 @@ def test_jointavg_lambda_weight(tmp_path):
     side = read_sidecar(tmp_path, "jointavg")
     assert side["metadata"]["weight"] == "lambda"
     assert side["metadata"]["benchmark_re"] == 0.0  # e(y) integrates to 0
+
+
+def test_jointavg_lambda_weight_at_length_one(tmp_path):
+    # Lambda up to n = 1 reads a table below the sieve's least limit, 2
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}])
+    for lengths in ["1", "1,2"]:
+        assert main(["jointavg", "--system", "cyclic:3", "--family", fam, "--weight", "lambda",
+                     "--N", lengths, "--out", str(tmp_path / lengths)]) == 0
+    assert read_rows(tmp_path / "1", "jointavg")[1] == read_rows(tmp_path / "1,2", "jointavg")[1][:1]
 
 
 def test_jointavg_unknown_weight_exits_one(tmp_path, capsys):
