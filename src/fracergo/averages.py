@@ -35,7 +35,7 @@ import numpy as np
 
 from .fracpoly import Family, RealExpPoly, family_to_json, is_nice
 from .primes import PrimeTable, cube, von_mangoldt_cube
-from .systems import SystemSpec, describe, frac_multiples, integrate, l2_distance, l2_norm
+from .systems import CHUNK, SystemSpec, describe, frac_multiples, integrate, l2_distance, l2_norm
 
 GUARD_ABS = 1e-9
 # Float error of one term c * x**fl(e), in units of eps times its size:
@@ -225,22 +225,25 @@ def iterate_values(
     spec: IterateSpec, ns: Sequence[int], table: Optional[PrimeTable] = None
 ) -> np.ndarray:
     """Vectorized iterate values: float evaluation with an exact re-do
-    of every entry inside the guard band around an integer."""
+    of every entry inside the guard band around an integer, CHUNK
+    indices at a time."""
     ns = np.asarray(ns, dtype=np.int64)
     xs = _argument_values(spec, ns, table)
-    vals = spec.poly.eval((), xs)
-    # Floors are int64: refuse what the cast would wrap with only a warning
-    # (a double that rounds up to 2^63 too), and an exact re-do past it.
-    outside = np.flatnonzero(~((vals >= -(2.0**63)) & (vals < 2.0**63)))
-    if len(outside):
-        raise _beyond_int64(spec, ns[outside[0]])
-    out = np.floor(vals).astype(np.int64)
-    risky = np.flatnonzero(np.abs(vals - np.rint(vals)) < _guard_band(spec.poly, xs))
-    for i in risky:
-        y = _floor_exact(spec.poly, int(xs[i]))
-        if not -(2**63) <= y < 2**63:
-            raise _beyond_int64(spec, ns[i])
-        out[i] = y
+    out = np.empty(len(ns), dtype=np.int64)
+    for lo in range(0, len(ns), CHUNK):
+        x = xs[lo : lo + CHUNK]
+        vals = spec.poly.eval((), x)
+        # Floors are int64: refuse what the cast would wrap with only a warning
+        # (a double that rounds up to 2^63 too), and an exact re-do past it.
+        outside = np.flatnonzero(~((vals >= -(2.0**63)) & (vals < 2.0**63)))
+        if len(outside):
+            raise _beyond_int64(spec, ns[lo + outside[0]])
+        out[lo : lo + CHUNK] = np.floor(vals)
+        for i in np.flatnonzero(np.abs(vals - np.rint(vals)) < _guard_band(spec.poly, x)):
+            y = _floor_exact(spec.poly, int(x[i]))
+            if not -(2**63) <= y < 2**63:
+                raise _beyond_int64(spec, ns[lo + i])
+            out[lo + i] = y
     return out
 
 
@@ -277,12 +280,12 @@ def weyl_sum(
         t = float(t)
         if t == 0.0:
             continue
-        if floor_iterates:
-            js = iterate_values(spec, ns, table)
-            phases += frac_multiples(t, js.tolist())
+        if floor_iterates:  # the iterate array is freed once its phases are added
+            phases += frac_multiples(t, iterate_values(spec, ns, table))
         else:
             phases += spec.poly.eval((), _argument_values(spec, ns, table)) * t
-    return complex(np.mean(np.exp(2j * np.pi * phases)))
+    z = phases * (2j * np.pi)  # the character in place: one complex array
+    return complex(np.mean(np.exp(z, out=z)))
 
 
 # ---------------------------------------------------------------------------

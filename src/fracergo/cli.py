@@ -343,6 +343,12 @@ def cmd_sieve(args):
     if N_list[0] < 0:  # refused before the table is sieved and cached
         raise ValueError(f"counting length N must be >= 0, got {N_list[0]}")
     cutoff = args.cutoff if args.cutoff is not None else 1000000
+    # count_prime_tuples' and singular_series' refusals, before the table is sieved and cached
+    if len(set(args.shifts)) != len(args.shifts):
+        raise ValueError("shifts must be distinct")
+    spread = max(args.shifts) - min(args.shifts)
+    if cutoff < max(2, spread):
+        raise ValueError(f"cutoff {cutoff} below the largest pairwise difference {spread}")
     # One table for counts and series; 2 keeps it valid (a cutoff below is the series' error).
     table = primes.sieve(max(2, max(N_list) + max(max(args.shifts), 0), cutoff), args.cache)
     rows = [(N, primes.count_prime_tuples(table, N, args.shifts)) for N in N_list]

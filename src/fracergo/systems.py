@@ -238,7 +238,7 @@ class Torus:
             jmax = max(-int(j.min(initial=0)), int(j.max(initial=0)))
             reach += int(np.abs(r[:, 0]).max(initial=0)) + int(np.abs(r[:, 1]).max(initial=0)) * (1 + jmax)
         _check_reach(reach)
-        lin = [frac_multiples(self.alpha, j.tolist()) for j in J]
+        lin = [frac_multiples(self.alpha, j) for j in J]
         # Phases k * frac(j alpha) are off by at most |k| ulps.  Triangular
         # numbers overflow int64 for large iterates, so Python ints feed the
         # exact reduction; only k2 != 0 terms need them.
@@ -313,15 +313,21 @@ def parse_system(text: str) -> SystemSpec:
     raise ValueError(f"unknown system {text!r}")
 
 
-def frac_multiples(alpha: float, ns: Iterable[int]) -> np.ndarray:
-    """Fractional parts of n*alpha, exact in the double representation.
+def frac_multiples(alpha: float, ns: Sequence[int]) -> np.ndarray:
+    """Fractional parts of n*alpha, exact in the double representation,
+    for an int64 array or a list of ints, CHUNK entries at a time.
 
     alpha as stored is a dyadic rational A / 2^e; n*A mod 2^e is exact
     integer arithmetic per entry, so the only rounding is the division.
     """
     num, den = float(alpha).as_integer_ratio()
     fden = float(den)
-    return np.array([(int(n) * num % den) / fden for n in ns])
+    out = np.empty(len(ns))
+    for lo in range(0, len(ns), CHUNK):
+        block = ns[lo : lo + CHUNK]
+        block = block.tolist() if isinstance(block, np.ndarray) else block  # Python ints, not numpy scalars
+        out[lo : lo + CHUNK] = [(int(n) * num % den) / fden for n in block]
+    return out
 
 
 def _contract_stationary(ks, amps, lin, w) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
@@ -220,6 +221,34 @@ def test_iterate_values_refuse_floors_outside_int64(c, first_bad):
         iterate_values(spec({F(3, 2): c}), range(1, 11))
 
 
+@pytest.mark.parametrize("mode", ["integers", "primes"])
+def test_iterate_values_across_chunk_boundaries(mode, table):
+    # Two full blocks and three indices of a third.  t^2 + (t + 1)/4 is an
+    # integer, so re-done, exactly at x = 3 mod 4: a quarter of the n and
+    # half of the p_n, in every block, between entries floored as floats.
+    s = spec({2: 1, 1: F(1, 4), 0: F(1, 4)}, mode)
+    N = 2 * CHUNK + 3
+    assert iterate_values(s, range(1, N + 1), table).tolist() == [iterate_value(s, n, table) for n in range(1, N + 1)]
+
+
+@pytest.mark.parametrize("at, first_bad", [
+    ({CHUNK + 5: 2**60}, 2**60),
+    ({CHUNK + 5: 2**61}, 2**61),
+    # Blocks are refused in order: a re-do past 2^63 in the first block is
+    # named before a double past 2^63 in the second, which the whole-array
+    # float check named first.
+    ({3: 2**60, CHUNK + 5: 2**61}, 2**60),
+], ids=["exact-re-do", "float", "first-block-first"])
+def test_iterate_values_refusal_names_its_n_in_a_later_block(at, first_bad):
+    # 2^43 n^(1/3) is 2^63 at 2^60 (the double there just below it, so the
+    # exact re-do refuses) and a double past 2^63 at 2^61.
+    ns = np.arange(1, 2 * CHUNK + 4)
+    for i, n in at.items():
+        ns[i] = n
+    with pytest.raises(ValueError, match=f"at n = {first_bad} is outside the int64 range"):
+        iterate_values(spec({F(1, 3): 2**43}), ns)
+
+
 def test_iterate_values_keep_the_int64_end_points():
     assert iterate_values(spec({1: -(2**63)}), [1]).tolist() == [-(2**63)]
     assert iterate_values(spec({F(3, 2): 2**62}), [1]).tolist() == [2**62]
@@ -325,6 +354,48 @@ def test_weyl_sum_modulus_bounded():
     for _ in range(20):
         ts = rng.uniform(-2, 2, size=2).tolist()
         assert abs(weyl_sum(fam, ts, 64)) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("mode", ["integers", "primes"])
+@pytest.mark.parametrize("members, ts", [([THREEHALF], [1 / 3]), ([THREEHALF, MIXED], [2 / 7, -0.3])])
+def test_weyl_sum_is_the_whole_array_formula(mode, members, ts, table):
+    # The phases of whole iterate arrays, as Python ints, and one exp of the
+    # whole phase array: the sum before it went CHUNK indices at a time.
+    fam = [spec(m, mode) for m in members]
+    N = 2 * CHUNK + 3
+    ns = np.arange(1, N + 1, dtype=np.int64)
+    phases = np.zeros(N)
+    for s, t in zip(fam, ts):
+        num, den = t.as_integer_ratio()
+        phases += np.array([(j * num % den) / float(den) for j in iterate_values(s, ns, table).tolist()])
+    assert weyl_sum(fam, ts, N, table) == complex(np.mean(np.exp(2j * np.pi * phases)))
+
+
+@pytest.mark.parametrize("mode", ["integers", "primes"])
+def test_weyl_sum_peak_memory_is_a_few_arrays_of_length_N(mode, table):
+    """At most 40 bytes per index (ns, the phases and one iterate array,
+    8 bytes each, and the complex characters, 16) and 128 per block index.
+
+    The block term is read off the code, in CHUNK-long float64 arrays
+    alive at once.  In iterate_values: eval holds the float argument, the
+    running total, a power and its multiple (4); the band test holds vals
+    and |vals - rint(vals)|, and _guard_band the float argument, its log,
+    the band and at most three temporaries of a term beside them (rel, a
+    power and its multiple, or the old rel and two steps of the new), so 8.  frac_multiples holds the block as a list
+    of Python ints (a pointer and 28 bytes each, the values being below
+    2^30 here), the list of floats (8 + 24) and numpy's array of it (8):
+    76 bytes.  The two are never alive together, so 96 bytes bound both;
+    128 leaves a third for list over-allocation and per-call objects."""
+    fam = [spec(THREEHALF, mode), spec({F(3, 2): 1, F(11, 10): 1}, mode)]  # F2
+    N = 10**5
+    weyl_sum(fam, [1 / 3, 2 / 7], CHUNK, table)  # first-call allocations outside the count
+    tracemalloc.start()
+    try:
+        weyl_sum(fam, [1 / 3, 2 / 7], N, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * N + 128 * CHUNK
 
 
 # ---------------------------------------------------------------------------

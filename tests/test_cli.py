@@ -363,10 +363,10 @@ _REFUSALS = [
     _refusal("sieve-decreasing-N", "sieve", ["--shifts", "0,2", "--N", "3,1"], "--N must be strictly increasing", None),
     _refusal("sieve-tuples-limit", "sieve", ["--shifts", "0,2", "--N", "100", "--cutoff", "1000", "--limit", "5000"],
              _SIEVE_LIMIT, None),
-    # singular_series refuses the cutoff only after the table is sieved and cached
-    pytest.param("sieve", ["--shifts", "0", "--N", "1", "--cutoff", "1"], None, None,
-                 "cutoff 1 below the largest pairwise difference 0", id="sieve-cutoff-below-two",
-                 marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+    _refusal("sieve-cutoff-below-two", "sieve", ["--shifts", "0", "--N", "1", "--cutoff", "1"],
+             "cutoff 1 below the largest pairwise difference 0", None),
+    _refusal("sieve-repeated-shift", "sieve", ["--shifts", "0,0", "--N", "10", "--cutoff", "100"],
+             "shifts must be distinct", None),
 ]
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fracergo import systems
 from fracergo.systems import (
     ALPHA_DEFAULT,
+    CHUNK,
     Cyclic,
     CyclicFunction,
     FourierPoly,
@@ -73,6 +74,21 @@ def test_frac_multiples_matches_scalar():
     got = frac_multiples(ALPHA_DEFAULT, ns)
     for i, n in enumerate(ns):
         assert got[i] == frac_mult(ALPHA_DEFAULT, n)
+
+
+@pytest.mark.parametrize("alpha", [ALPHA_DEFAULT, 1 / 3, 0.3])
+def test_frac_multiples_across_chunk_boundaries(alpha):
+    # Two full blocks and three entries of a third, random and signed, as
+    # an int64 array and as a list; and triangular numbers of iterates near
+    # 2^62, past 2^63, which only a list of Python ints holds.
+    N = 2 * CHUNK + 3
+    ns = np.random.default_rng(3).integers(-(2**62), 2**62, size=N)
+    want = np.array([frac_mult(alpha, n) for n in ns.tolist()])
+    assert frac_multiples(alpha, ns).tobytes() == want.tobytes()
+    assert frac_multiples(alpha, ns.tolist()).tobytes() == want.tobytes()
+    tri = [x * (x - 1) // 2 for x in np.abs(ns).tolist()]
+    assert max(tri) > 2**63
+    assert frac_multiples(alpha, tri).tobytes() == np.array([frac_mult(alpha, n) for n in tri]).tobytes()
 
 
 def test_character_values():
