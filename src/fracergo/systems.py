@@ -42,7 +42,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import ClassVar, Iterable, Optional, Sequence, Union
 
@@ -155,10 +155,12 @@ class Torus:
 
     dim: int
     alpha: float = ALPHA_DEFAULT
+    _ratio: tuple[int, int] = field(init=False, repr=False, compare=False)  # alpha = num / den
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("only 1- and 2-dimensional tori are supported")
+        object.__setattr__(self, "_ratio", self.alpha.as_integer_ratio())
 
     def __str__(self) -> str:
         return f"{self.name}:{self.alpha!r}"
@@ -180,21 +182,20 @@ class Torus:
         # k1 n alpha + k2 n(n-1)/2 alpha; a rotation frequency (k,) is the
         # k2 = 0 slice (k, 0).  Each phase is reduced mod 1 in Python ints
         # with alpha = num / den, as frac_multiples does.  The shear keeps
-        # the k2-major order.
+        # the k2-major order, and on the rotation it is the identity.
         self.check(f)
         n = int(n)
         tri = n * (n - 1) // 2
-        num, den = self.alpha.as_integer_ratio()
-        k1s = f.freqs[:, 0].tolist()
-        k2s = f.freqs[:, 1].tolist() if f.dim == 2 else [0] * len(k1s)
-        amps = [
-            a * e(float(k1 * n * num % den) / den + (float(k2 * tri * num % den) / den if k2 else 0.0))
-            for k1, k2, a in zip(k1s, k2s, f.amps.tolist())
-        ]
-        shifted = [k1 + n * k2 for k1, k2 in zip(k1s, k2s)]
-        _check_reach(max(map(abs, shifted), default=0))
-        freqs = f.freqs.copy()
-        freqs[:, 0] = shifted
+        num, den = self._ratio
+        rows, amps = f.freqs.tolist(), []
+        for k, a in zip(rows, f.amps.tolist()):
+            k1, k2 = k if self.dim == 2 else (k[0], 0)
+            phase = float(k1 * n * num % den) / den + (float(k2 * tri * num % den) / den if k2 else 0.0)
+            amps.append(a * e(phase))
+            if k2:
+                k[0] = k1 + n * k2  # the shear, in tolist's fresh row
+                _check_reach(abs(k[0]))
+        freqs = np.array(rows, dtype=np.int64) if self.dim == 2 and rows else f.freqs
         return FourierPoly(f.dim, freqs, np.array(amps, dtype=complex))
 
     def integrate(self, f: FourierPoly) -> complex:
@@ -379,7 +380,7 @@ class FourierPoly:
 
     def __post_init__(self):
         # Rows come sorted and distinct, in arrays nothing else writes to.
-        if np.count_nonzero(self.amps) < len(self.amps):
+        if self.amps[0] == 0 if len(self.amps) == 1 else np.count_nonzero(self.amps) < len(self.amps):
             keep = self.amps != 0
             object.__setattr__(self, "freqs", self.freqs[keep])
             object.__setattr__(self, "amps", self.amps[keep])
@@ -410,8 +411,13 @@ class FourierPoly:
         """A tuple view ((freq, amp), ...), built on each read."""
         return tuple(zip(map(tuple, self.freqs.tolist()), self.amps.tolist()))
 
-    def amplitude(self, freq: tuple[int, ...]) -> complex:
-        return complex(self.amps[(self.freqs == freq).all(axis=1)].sum())
+    def amplitude(self, freq: Sequence[int]) -> complex:
+        """The amplitude at ``freq``, 0 where absent; rows are distinct."""
+        freq = list(freq)
+        if len(freq) != self.dim:
+            raise ValueError(f"frequency {tuple(freq)} has length {len(freq)}, not the dimension {self.dim}")
+        rows = self.freqs.tolist()
+        return complex(self.amps[rows.index(freq)]) if freq in rows else 0j
 
     def conjugate(self) -> "FourierPoly":
         return FourierPoly(self.dim, -self.freqs[::-1], self.amps[::-1].conj())
@@ -431,6 +437,11 @@ class FourierPoly:
         needed = len(self.amps) * len(other.amps)
         _check_budget(needed)
         _check_reach(_reach(self) + _reach(other))
+        if needed == 1:
+            # One term: one complex product, as the outer product computes
+            # it on one row (numpy's vector loop may fuse a multiply-add).
+            (a,), (b,) = self.amps.tolist(), other.amps.tolist()
+            return FourierPoly(self.dim, self.freqs + other.freqs, np.array([a * b]))
         freqs = (self.freqs[:, None, :] + other.freqs[None, :, :]).reshape(needed, self.dim)
         return _canonical(self.dim, freqs, np.multiply.outer(self.amps, other.amps).ravel())
 

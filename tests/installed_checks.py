@@ -67,6 +67,14 @@ def main(command: list[str], workdir: str) -> None:
     run("jointavg", "--system", "rotation", "--family", fam, "--mode", "primes", "--N", "100,1000", "--out", out)
     run("recurrence", "--system", "cyclic:5", "--family", fam, "--mode", "primes", "--N", "100,1000", "--out", out)
     run("seminorm", "--system", "skew", "--s", "2,3", "--N", "20,20", "--out", out)
+    # The default skew observable e(y) has closed forms: 20^(-1/4) at degree
+    # 2 and 1 at degree 3.  Each is a few dozen float operations and sums
+    # of 20 terms, about 1e-14 at most; 1e-12 leaves room and still fails
+    # on any wrong term.
+    rows = [line.split(",") for line in _read(os.path.join(out, "seminorm.csv")).split()[1:]]
+    values = {int(s): float(v) for s, v in rows}
+    _check(values.keys() == {2, 3} and abs(values[2] - 20 ** -0.25) <= 1e-12 and abs(values[3] - 1.0) <= 1e-12,
+           "skew seminorm closed forms")
     run("pet", "--family", fam, "--out", out)
     run("sieve", "--shifts", "0,2", "--N", "100,1000", "--cutoff", "1000", "--cache", path("tuples.bin"), "--out", out)
 

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fracergo import systems
+from fracergo import seminorms, systems
 from fracergo.seminorms import (
     DEFAULT_SCHEDULES,
     SeminormEstimate,
@@ -134,6 +134,62 @@ def test_skew_vertical_character_decays_exactly():
 def test_skew_vertical_character_degree_three():
     est = hk_seminorm_estimate(Skew(), fourier_e(2, (0, 1)), 3, (50, 50))
     assert est.value == pytest.approx(1.0, abs=1e-9)
+
+
+def _closed_form_tolerance(s, schedule):
+    """A relative bound on the rounding of the skew estimates below.
+
+    Every node of a level takes three complex operations on one-term
+    polynomials (the pullback's character and its product, then the
+    derivative's product), each moving the modulus by at most 3 ulps
+    relative: 9 per level, and the derivative g-bar T^m g doubles its
+    input's error.  Then |mean|^2 (abs, square), the sums over each
+    schedule length (one ulp per addition) and the divisions, the root
+    (divides by 2^s, plus one ulp) and the reference |a| N^(-1/4) (three
+    ulps)."""
+    chain = 0
+    for _ in range(s - 1):
+        chain = 2 * chain + 9
+    raw = 2 * chain + 3 + sum(schedule)
+    return (raw / 2**s + 4) * 2.0**-53
+
+
+@pytest.mark.parametrize("a", [0.6 - 0.3j, 2.5j, -7e-3 + 4e-3j])
+def test_skew_vertical_character_closed_forms_at_any_amplitude(a):
+    # f = a e(y): each derivative f-bar T^n f is |a|^2 e(n x) times a unit
+    # phase, so only n = 0 has a mean; at degree 3 every derivative of a
+    # one-term g has |mean|^2 = |g|^4 = |a|^8, for any schedule.
+    f = FourierPoly.make(2, [((0, 1), a)])
+    for N in (1, 7, 200):
+        want = abs(a) * N ** -0.25
+        got = hk_seminorm_estimate(Skew(), f, 2, (N,)).value
+        assert abs(got - want) <= _closed_form_tolerance(2, (N,)) * want, (N, got, want)
+        for M in (1, 7, 200):
+            got = hk_seminorm_estimate(Skew(), f, 3, (N, M)).value
+            assert abs(got - abs(a)) <= _closed_form_tolerance(3, (N, M)) * abs(a), (N, M, got)
+
+
+@pytest.mark.parametrize(
+    "sys, f",
+    [(Rotation(0.3), systems.fejer_arc(0.2, 3)), (Skew(), fourier_e(2, (1, 1)) + fourier_e(2, (0, 1)))],
+)
+def test_recursion_makes_one_pullback_and_one_product_per_node(monkeypatch, sys, f):
+    # perfbench/references.json stores these counts (hk_nodes,
+    # apply_power_calls, multiply_calls) for its traced runs: a recursion
+    # that batches a level, or caches a node, changes them and needs new
+    # references with it.
+    calls = {"apply_power": 0, "multiply": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(seminorms, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(seminorms, name, counted)
+    for s, schedule, nodes in [(2, (9,), 9), (3, (5, 4), 5 + 5 * 4), (3, (1, 6), 1 + 6)]:
+        calls.update(apply_power=0, multiply=0)
+        hk_seminorm_estimate(sys, f, s, schedule)
+        assert calls == {"apply_power": nodes, "multiply": nodes}, (
+            f"degree {s} at {schedule}: {calls}, want {nodes} each (N1 + N1 N2 at degree 3, N at degree 2)"
+        )
 
 
 def test_default_schedules():

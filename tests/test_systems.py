@@ -107,6 +107,13 @@ def test_fourier_make_merges_and_sorts():
     assert f.amplitude((1,)) == 3.0
 
 
+def test_amplitude_refuses_a_frequency_of_another_length():
+    cases = [(fourier_e(2, (0, 1)), (0,)), (fourier_e(1, (0,)), (0, 0)), (fourier_e(2, (0, 0)), (0, 0, 0))]
+    for f, fq in cases:
+        with pytest.raises(ValueError, match=f"length {len(fq)}, not the dimension {f.dim}"):
+            f.amplitude(fq)
+
+
 def test_fourier_zero_and_const():
     z = FourierPoly.zero(2)
     assert z.terms == ()
@@ -266,6 +273,29 @@ def test_multiply_is_pointwise():
         assert value_at(h, (x,)) == pytest.approx(
             value_at(f, (x,)) * value_at(g, (x,)), abs=1e-12
         )
+
+
+def test_one_term_products_keep_the_outer_products_bits():
+    # A product of two one-term polynomials skips the broadcast and the
+    # sort; its amplitude must still be the bits of the outer product that
+    # longer factors take, on whatever numpy loop this machine runs.
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        a, b, c, d = rng.normal(size=4) * 10.0 ** rng.integers(-6, 6, size=4)
+        f = FourierPoly.make(2, [((1, -2), complex(a, b))])
+        g = FourierPoly.make(2, [((3, 5), complex(c, d))])
+        h = multiply(f, g)
+        assert h.freqs.tolist() == [[4, 3]]
+        assert h.amps.tobytes() == np.multiply.outer(f.amps, g.amps).ravel().tobytes()
+
+
+def test_torus_equality_ignores_the_stored_ratio():
+    # alpha's num / den is computed once per system; ==, hash, str and
+    # repr read only the dimension and alpha.
+    s = Skew(0.3)
+    assert s == parse_system("skew:0.3") and hash(s) == hash(parse_system("skew:0.3"))
+    assert (str(s), repr(s)) == ("skew:0.3", "Torus(dim=2, alpha=0.3)")
+    assert s != Skew(0.5) and Rotation(0.3) != s
 
 
 def test_multiply_cyclic_pointwise():
