@@ -22,7 +22,14 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from . import averages, fracpoly, primes, seminorms, systems
+# OpenBLAS reads this once, when numpy first loads it, so it is set before
+# any import below.  Its idle workers otherwise spin for about 2^28 cycles
+# after each of the contraction's small GEMMs: a second core burnt for no
+# wall time (joint-torus benchmark cpu_s 3.41 -> 2.00 s at wall_s 1.88 ->
+# 1.89 s, medians of 10 paired runs on 2 vCPUs).  A value already set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+from . import averages, fracpoly, primes, seminorms, systems  # noqa: E402
 from .fracpoly import json_field, json_list
 
 SCHEMA_VERSION = 2

@@ -54,6 +54,12 @@ from .fracpoly import json_field, json_int, json_ints, json_list
 ALPHA_DEFAULT = math.sqrt(2.0) - 1.0
 
 TERM_BUDGET = 100_000
+# Rows (term combinations with some k2 != 0, times N) a skew average may
+# merge.  Each row peaks at 146-176 B by tracemalloc, the merge's sort and
+# copies included, so 2^24 rows is about 2.8 GiB: two observables of 4
+# terms at N = 10^6 (16 M rows) still run, and of 8 terms (64 M rows),
+# which the kernel killed on an 8 GB host, are refused before allocating.
+ROW_BUDGET = 1 << 24
 # Indices n per block of the torus contraction: one (CHUNK x terms)
 # character matrix per iterate is alive at a time.
 CHUNK = 1 << 12
@@ -233,6 +239,9 @@ class Torus:
         # Only the combinations with some k2 != 0 are enumerated one by one.
         combos = math.prod(map(len, rows)) - math.prod(map(len, still))
         _check_budget(combos)
+        if combos * N > ROW_BUDGET:
+            raise ValueError(f"the average merges {combos} term combinations x N = {N}: "
+                             f"{combos * N} rows, row budget is {ROW_BUDGET}")
         # |sum_i k1_i + k2_i j_i(n)| is bounded before int64 arithmetic forms it
         reach = 0
         for r, j in zip(rows, J):

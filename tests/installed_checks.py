@@ -4,7 +4,8 @@
 
 COMMAND starts the program: a venv's ``fracergo`` console script, or
 ``python -m fracergo.cli``.  Each subcommand runs at a small size, and its
-outputs are checked against what it promises.  The script imports only the
+outputs are checked against what it promises; one run's CPU time is
+checked against its wall time.  The script imports only the
 standard library, and tests/ is not installed with the package, so a bare
 venv with the declared dependencies alone can run it; there the runs fail
 if ``src/`` imports from tests/ or from a test dependency.  The first
@@ -19,11 +20,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 
-def _family(terms) -> dict:
+def _family(*members) -> dict:
+    """A family file's JSON, one member per list of (exponent, coefficient)."""
     return {"k": 0, "functions": [{"terms": [
-        {"exponent": e, "coeff": [{"c": str(c), "powers": []}]} for e, c in terms]}]}
+        {"exponent": e, "coeff": [{"c": str(c), "powers": []}]} for e, c in terms]} for terms in members]}
 
 
 def pell_family() -> dict:
@@ -44,6 +47,36 @@ def _check(ok: bool, name: str) -> None:
 def _read(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh) if path.endswith(".json") else fh.read()
+
+
+def check_cpu_within_wall(command: list[str], args: list[str]) -> None:
+    """One run's CPU time, from its own rusage, is at most 1.25 wall + 0.05 s.
+
+    The program sets its own OPENBLAS_THREAD_TIMEOUT, so every OPENBLAS_*
+    variable is removed from the run's environment.  Without the setting an
+    idle OpenBLAS worker spins beside the one Python thread: about 1.6-1.9
+    CPU seconds per wall second on 2 cores, against 1.0-1.07 with it."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([*command, *args], env=env, stdout=subprocess.DEVNULL)
+    _, status, ru = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    _check(proc.returncode == 0, f"{args[0]} exits 0")
+    cpu = ru.ru_utime + ru.ru_stime
+    _check(cpu <= 1.25 * wall + 0.05, f"{args[0]} CPU {cpu:.3f} s <= 1.25 x wall {wall:.3f} s + 0.05 s")
+
+
+def rotation_arcs_args(workdir: str) -> list[str]:
+    """A jointavg run whose contraction is a GEMM: two iterates, each with
+    a 40-term arc (81 frequencies)."""
+    fam, fn = os.path.join(workdir, "pair.json"), os.path.join(workdir, "arcs.json")
+    arc = {"kind": "arc", "beta": 0.3, "n_terms": 40}
+    for name, data in [(fam, _family([("3/2", 1)], [("1/2", 1)])), (fn, {"functions": [arc, arc]})]:
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    return ["jointavg", "--system", "rotation", "--family", fam, "--functions", fn, "--N", "1000,10000",
+            "--out", os.path.join(workdir, "arcs")]
 
 
 def main(command: list[str], workdir: str) -> None:
@@ -75,6 +108,8 @@ def main(command: list[str], workdir: str) -> None:
     values = {int(s): float(v) for s, v in rows}
     _check(values.keys() == {2, 3} and abs(values[2] - 20 ** -0.25) <= 1e-12 and abs(values[3] - 1.0) <= 1e-12,
            "skew seminorm closed forms")
+    # The GEMM's idle OpenBLAS worker sleeps instead of spinning.
+    check_cpu_within_wall(command, rotation_arcs_args(workdir))
     run("pet", "--family", fam, "--out", out)
     run("sieve", "--shifts", "0,2", "--N", "100,1000", "--cutoff", "1000", "--cache", path("tuples.bin"), "--out", out)
 

@@ -60,6 +60,41 @@ def test_importing_the_cli_leaves_mpmath_unloaded(pell_pair):
     assert r.stdout.split() == ["4", "-1"]
 
 
+@pytest.mark.parametrize("preset", [None, "28"])
+def test_the_cli_sets_the_openblas_timeout_before_numpy_loads(preset):
+    # OpenBLAS reads the variable once, when numpy first loads it; a hook
+    # records it there.  A value already set wins.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracergo.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Hook:\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+        "sys.meta_path.insert(0, Hook())\n"
+        "import fracergo.cli\n"
+        "print(seen, 'numpy' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == f"[{preset or '4'!r}] True"
+
+
+def test_a_cli_run_keeps_its_cpu_time_near_its_wall_time(tmp_path, monkeypatch):
+    # Without the timeout an idle OpenBLAS worker spins on the second core:
+    # these runs read 1.6-1.9 CPU seconds per wall second on 2 vCPUs.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracergo.__file__)))
+    monkeypatch.setenv("PYTHONPATH", src)
+    command = [sys.executable, "-m", "fracergo.cli"]
+    installed_checks.check_cpu_within_wall(command, ["sieve", "--limit", "100", "--out", str(tmp_path)])
+    installed_checks.check_cpu_within_wall(command, installed_checks.rotation_arcs_args(str(tmp_path)))
+
+
 def test_installed_checks_pass_through_the_module(tmp_path, monkeypatch):
     # CI runs the same script through a bare venv's console script
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracergo.__file__)))
@@ -429,6 +464,24 @@ def test_jointavg_custom_functions(tmp_path):
         "--functions", fn, "--N", "100,200", "--out", str(tmp_path),
     ])
     assert rc == 0
+
+
+def test_jointavg_refuses_a_skew_average_past_the_row_budget(tmp_path, capsys, monkeypatch):
+    # Two terms with k2 != 0 per observable: 4 combinations, a row per n
+    # each, so N = 50 needs 200 rows.  A lowered budget stands in for the
+    # 64 M rows of 8 terms at N = 10^6, which the kernel's OOM killer ended.
+    fam = write_family(tmp_path / "fam.json", [{F(3, 2): 1}, {F(1, 2): 1}])
+    two = {"kind": "fourier", "terms": [{"freq": [0, 1], "re": 1.0}, {"freq": [1, 2], "re": 0.5}]}
+    fn = write_functions(tmp_path / "fn.json", [two, two])
+    argv = ["jointavg", "--system", "skew", "--family", fam, "--functions", fn, "--N", "10,50"]
+    monkeypatch.setattr(systems, "ROW_BUDGET", 199)
+    assert main([*argv, "--out", str(tmp_path / "refused")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the average merges 4 term combinations x N = 50: 200 rows, row budget is 199\n"
+    )
+    assert not (tmp_path / "refused").exists()
+    monkeypatch.setattr(systems, "ROW_BUDGET", 200)
+    assert main([*argv, "--out", str(tmp_path / "ran")]) == 0
 
 
 # ---------------------------------------------------------------------------
