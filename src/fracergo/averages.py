@@ -35,7 +35,7 @@ import numpy as np
 
 from .fracpoly import Family, RealExpPoly, family_to_json, is_nice
 from .primes import PrimeTable, cube, von_mangoldt_cube
-from .systems import CHUNK, SystemSpec, describe, frac_multiples, integrate, l2_distance, l2_norm
+from .systems import CHUNK, SystemSpec, frac_multiples, integrate, l2_distance, l2_norm
 
 GUARD_ABS = 1e-9
 # Float error of one term c * x**fl(e), in units of eps times its size:
@@ -94,11 +94,6 @@ class Weight:
 Unweighted = partial(Weight, None)
 VonMangoldt = partial(Weight, ())
 DeltaVonMangoldt = Weight
-
-
-def describe_weight(w: Weight) -> str:
-    """The ``--weight`` text of a weight; ``parse_weight`` reads it back."""
-    return str(w)
 
 
 def parse_weight(text: str) -> Weight:
@@ -301,22 +296,6 @@ class MultiAverage:
     benchmark: complex
 
 
-def _gather_iterates(
-    iterates: Sequence[IterateSpec], N: int, table: Optional[PrimeTable]
-) -> list[np.ndarray]:
-    ns = np.arange(1, N + 1, dtype=np.int64)
-    return [iterate_values(spec, ns, table) for spec in iterates]
-
-
-def _product_benchmark(sys, functions, weight: Weight) -> complex:
-    if weight.shifts:  # a cube difference averages to zero
-        return 0j
-    b = 1 + 0j
-    for f in functions:
-        b *= integrate(sys, f)
-    return b
-
-
 def multi_average(
     sys: SystemSpec,
     iterates: Sequence[IterateSpec],
@@ -333,11 +312,11 @@ def multi_average(
         raise ValueError("one observable per iterate")
     if not iterates or N < 1:
         raise ValueError("empty average")
-    for f in functions:
-        sys.check(f)
+    sys.check_average(functions, N)
     w = weight_values(weight, N, table)
-    J = _gather_iterates(iterates, N, table)
-    bench = _product_benchmark(sys, functions, weight)
+    J = [iterate_values(spec, np.arange(1, N + 1), table) for spec in iterates]
+    # a cube difference averages to zero
+    bench = 0j if weight.shifts else math.prod((integrate(sys, f) for f in functions), start=1 + 0j)
     avg = sys.average(J, functions, w)
     # The constant goes first, so its zero frequency leads the Parseval sum.
     return MultiAverage(avg, l2_distance(sys.constant(bench), avg), bench)
@@ -383,13 +362,13 @@ def recurrence_profile(
         raise ValueError("average lengths must increase")
     if any(n < 1 for n in N_list):
         raise ValueError("empty average")
-    sys.check(g)
+    Nmax = max(N_list)
+    sys.check_average([g] * len(iterates), Nmax)
     if not g.is_real():
         raise ValueError("recurrence needs a real-valued g")
     mu = integrate(sys, g)
     bench = mu.real ** (len(iterates) + 1)
-    Nmax = max(N_list)
-    J = _gather_iterates(iterates, Nmax, table)
+    J = [iterate_values(spec, np.arange(1, Nmax + 1), table) for spec in iterates]
     series = []
     for N in N_list:
         avg = sys.average([-j[:N] for j in J], [g] * len(J), np.ones(N))
@@ -455,8 +434,8 @@ def cfprime_experiment(
         series.append((int(N), l2_norm(r.average)))
     meta = {
         "kind": "prime_weighted_norms",
-        "weight": describe_weight(VonMangoldt()),
-        "system": describe(sys),
+        "weight": str(VonMangoldt()),
+        "system": str(sys),
         "family": family_to_json(family),
         "seminorm_degree": s,
         "seminorm_schedule": list(cert.N_schedule),

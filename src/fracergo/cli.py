@@ -212,6 +212,7 @@ def cmd_jointavg(args):
     funcs = _load_functions(args, sys_spec, len(specs))
     weight = averages.parse_weight(args.weight)
     N_list = _increasing(args.N, "--N")
+    sys_spec.check_average(funcs, N_list[-1])  # before the sieve, the weights and the iterates
     if args.cert_degree is not None:
         if args.mode == "primes" or weight.shifts:
             raise ValueError("--cert-degree runs over the integers with the lambda weight; "
@@ -234,7 +235,7 @@ def cmd_jointavg(args):
         ok = ok and math.isfinite(r.distance)
         rows.append((N, r.distance))
     meta = {
-        "weight": averages.describe_weight(weight),
+        "weight": str(weight),
         "benchmark_re": bench.real,
         "benchmark_im": bench.imag,
         "value_column": "l2 distance to the product benchmark",

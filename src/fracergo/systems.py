@@ -19,7 +19,8 @@ it holds:
 * ``constant(c)``, ``default_function()`` and ``observable(kind, desc)``
   build observables, the last from a ``--functions`` JSON descriptor, and
   ``default_set`` is the default ``recurrence --g`` (None: none fits);
-* ``average(J, functions, w)`` is (1/N) sum_n w(n) prod_i T^{J[i][n]} f_i;
+* ``average(J, functions, w)`` is (1/N) sum_n w(n) prod_i T^{J[i][n]} f_i,
+  and ``check_average(functions, N)`` its refusals that need no iterate;
 * ``seminorm(f, s, N_schedule)`` is the degree-s seminorm and
   ``check_degree(s)`` its budget: the exact Gowers norm on Z/m, within
   m^(s-1) <= 10^8, and the truncated recursion on the torus, for s <= 3.
@@ -55,10 +56,9 @@ ALPHA_DEFAULT = math.sqrt(2.0) - 1.0
 
 TERM_BUDGET = 100_000
 # Rows (term combinations with some k2 != 0, times N) a skew average may
-# merge.  Each row peaks at 146-176 B by tracemalloc, the merge's sort and
-# copies included, so 2^24 rows is about 2.8 GiB: two observables of 4
-# terms at N = 10^6 (16 M rows) still run, and of 8 terms (64 M rows),
-# which the kernel killed on an 8 GB host, are refused before allocating.
+# merge.  Each peaks at 147-187 B by tracemalloc, the merge and the L^2
+# distance's sort included, so 2^24 rows take at most 2.9 GiB: 4-term
+# observables at N = 10^6 (16 M rows) run, 8-term ones (64 M) are refused.
 ROW_BUDGET = 1 << 24
 # Indices n per block of the torus contraction: one (CHUNK x terms)
 # character matrix per iterate is alive at a time.
@@ -107,6 +107,11 @@ class Cyclic:
     def check(self, f) -> None:
         if not isinstance(f, CyclicFunction) or f.m != self.m:
             raise ValueError("cyclic systems take CyclicFunction observables of matching modulus")
+
+    def check_average(self, functions, N: int) -> None:
+        """An average on Z/m has no budget: it checks the observables."""
+        for f in functions:
+            self.check(f)
 
     def apply_power(self, f: CyclicFunction, n: int) -> CyclicFunction:
         self.check(f)
@@ -227,21 +232,26 @@ class Torus:
             return fejer_arc(beta, json_field(desc, "n_terms", json_int, 40))
         raise ValueError(f"function kind {kind!r} does not fit this system")
 
-    def average(self, J, functions, w) -> FourierPoly:
-        """T^j moves frequency (k1, k2) to (k1 + j k2, k2), so the term
-        combinations whose k2 are all 0 land on one frequency for every n
-        and are contracted together; any other lands on a frequency per n,
-        and its N rows are merged into the sum before the next
-        combination."""
-        N = len(w)
-        rows = [np.pad(f.freqs, ((0, 0), (0, 2 - f.dim))) for f in functions]
-        still = [np.flatnonzero(r[:, 1] == 0) for r in rows]
-        # Only the combinations with some k2 != 0 are enumerated one by one.
-        combos = math.prod(map(len, rows)) - math.prod(map(len, still))
+    def check_average(self, functions, N: int) -> None:
+        """``average`` enumerates the term combinations with some k2 != 0
+        (TERM_BUDGET) and merges N rows for each (ROW_BUDGET)."""
+        for f in functions:
+            self.check(f)
+        k2s = [np.pad(f.freqs, ((0, 0), (0, 2 - f.dim)))[:, 1] for f in functions]
+        combos = math.prod(map(len, k2s)) - math.prod(int(np.count_nonzero(k == 0)) for k in k2s)
         _check_budget(combos)
         if combos * N > ROW_BUDGET:
             raise ValueError(f"the average merges {combos} term combinations x N = {N}: "
                              f"{combos * N} rows, row budget is {ROW_BUDGET}")
+
+    def average(self, J, functions, w) -> FourierPoly:
+        """T^j moves frequency (k1, k2) to (k1 + j k2, k2), so the term
+        combinations whose k2 are all 0 land on one frequency for every n
+        and are contracted together; any other lands on a frequency per n.
+        All rows are merged once, at the end (budgets: ``check_average``)."""
+        N = len(w)
+        rows = [np.pad(f.freqs, ((0, 0), (0, 2 - f.dim))) for f in functions]
+        still = [np.flatnonzero(r[:, 1] == 0) for r in rows]
         # |sum_i k1_i + k2_i j_i(n)| is bounded before int64 arithmetic forms it
         reach = 0
         for r, j in zip(rows, J):
@@ -256,12 +266,12 @@ class Torus:
             frac_multiples(self.alpha, [x * (x - 1) // 2 for x in j.tolist()]) if r[:, 1].any() else None
             for j, r in zip(J, rows)
         ]
-        acc = FourierPoly.zero(2)
+        freqs, amps = [np.zeros((0, 2), dtype=np.int64)], [np.zeros(0, dtype=complex)]
         if all(map(len, still)):
             ks = [r[t, 0] for r, t in zip(rows, still)]
-            amps = [f.amps[t] for f, t in zip(functions, still)]
-            k, a = _contract_stationary(ks, amps, lin, w)
-            acc = _canonical(2, np.column_stack([k, 0 * k]), a)
+            k, a = _contract_stationary(ks, [f.amps[t] for f, t in zip(functions, still)], lin, w)
+            freqs.append(np.column_stack([k, 0 * k]))
+            amps.append(a)
         # Every combination with some k2 != 0 once: i is the first iterate with one.
         for combo in itertools.chain.from_iterable(
             itertools.product(*still[:i], np.flatnonzero(r[:, 1]), *map(range, map(len, rows[i + 1 :])))
@@ -277,10 +287,11 @@ class Torus:
                     phase += (c2 * bt) % 1.0
                 k1 = k1 + c1 + c2 * j
                 k2 += c2
-            contrib = amp * w * np.exp(2j * np.pi * phase) / N
-            freqs = np.vstack([acc.freqs, np.column_stack([k1, np.full(N, k2)])])
-            acc = _canonical(2, freqs, np.concatenate([acc.amps, contrib]))
-        return FourierPoly(self.dim, acc.freqs[:, : self.dim], acc.amps)
+            freqs.append(np.column_stack([k1, np.full(N, k2)]))
+            amps.append(amp * w * np.exp(2j * np.pi * phase) / N)
+        # One merge, the blocks freed first; the rotation's k2 are 0, so slicing keeps the order.
+        freqs, amps = np.vstack(freqs)[:, : self.dim], np.concatenate(amps)
+        return _canonical(self.dim, freqs, amps)
 
     def check_degree(self, s: int) -> None:
         if not 1 <= s <= 3:
@@ -299,11 +310,6 @@ Skew = partial(Torus, 2)
 SystemSpec = Union[Cyclic, Torus]
 
 _TORI = {"rotation": Rotation, "skew": Skew}
-
-
-def describe(sys: SystemSpec) -> str:
-    """The ``--system`` text of a system; ``parse_system`` reads it back."""
-    return str(sys)
 
 
 def parse_system(text: str) -> SystemSpec:
@@ -398,11 +404,10 @@ class FourierPoly:
 
     @staticmethod
     def make(dim: int, entries) -> "FourierPoly":
-        """From (freq, amp) pairs or a {freq: amp} mapping; repeated
-        frequencies are summed."""
+        """From (freq, amp) pairs; repeated frequencies are summed."""
         if dim not in (1, 2):
             raise ValueError("only 1- and 2-dimensional tori are supported")
-        entries = list(entries.items() if hasattr(entries, "items") else entries)
+        entries = list(entries)
         rows = [tuple(map(int, f)) for f, _ in entries]
         for freq in rows:
             if len(freq) != dim:
@@ -410,10 +415,6 @@ class FourierPoly:
             _check_reach(max(map(abs, freq)))
         freqs = np.array(rows, dtype=np.int64).reshape(-1, dim)
         return _canonical(dim, freqs, np.array([a for _, a in entries], dtype=complex))
-
-    @staticmethod
-    def zero(dim: int) -> "FourierPoly":
-        return FourierPoly(dim, np.zeros((0, dim), dtype=np.int64), np.zeros(0, dtype=complex))
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, ...], complex], ...]:
@@ -478,13 +479,27 @@ def _reach(f: FourierPoly) -> int:
 
 
 def _canonical(dim: int, freqs: np.ndarray, amps: np.ndarray) -> FourierPoly:
-    """Rows sorted (stably), each run of equal rows summed, zeros dropped."""
+    """Rows sorted (stably) with k_d as the major key, each run of equal
+    rows summed, zeros dropped."""
     if len(amps) > 1:
-        order = np.lexsort(freqs.T)  # the last key, k_d, is the major one
+        order = np.argsort(freqs[:, 0], kind="stable") if dim == 1 else _key_order(freqs)
         freqs = freqs[order]
-        starts = np.flatnonzero(np.r_[True, (freqs[1:] != freqs[:-1]).any(axis=1)])
+        new = freqs[1:] != freqs[:-1]
+        starts = np.flatnonzero(np.r_[True, new[:, 0] | new[:, -1]])
         freqs, amps = freqs[starts], np.add.reduceat(amps[order], starts)
     return FourierPoly(dim, freqs, amps)
+
+
+def _key_order(freqs: np.ndarray) -> np.ndarray:
+    """lexsort's order of (k1, k2) rows, from a stable argsort of one int64
+    key where the spans fit: it merges runs already sorted (a skew
+    combination's N rows) instead of sorting them again."""
+    k1, k2 = freqs[:, 0], freqs[:, 1]
+    lo1, lo2 = int(k1.min()), int(k2.min())
+    span1 = int(k1.max()) - lo1 + 1
+    if span1 * (int(k2.max()) - lo2 + 1) >= 2**63:
+        return np.lexsort(freqs.T)
+    return np.argsort((k1 - lo1) + (k2 - lo2) * span1, kind="stable")
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,27 @@ def rotation_arcs_args(workdir: str) -> list[str]:
             "--out", os.path.join(workdir, "arcs")]
 
 
+def check_row_budget_refusal(command: list[str], workdir: str) -> None:
+    """Two 8-term observables e(k y)/k on the skew product along
+    {t^(3/2), t^(1/2)} merge 64 term combinations x N = 10^6 rows, past the
+    2^24 row budget: the run is refused before any sieve, so it exits 1
+    within 5 s and writes neither the cache nor the output directory."""
+    fam, fn = os.path.join(workdir, "budget-pair.json"), os.path.join(workdir, "eight.json")
+    eight = {"kind": "fourier", "terms": [{"freq": [0, k], "re": 1 / k} for k in range(1, 9)]}
+    for name, data in [(fam, _family([("3/2", 1)], [("1/2", 1)])), (fn, {"functions": [eight, eight]})]:
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    cache, out = os.path.join(workdir, "c.bin"), os.path.join(workdir, "refused")
+    t0 = time.perf_counter()
+    proc = subprocess.run([*command, "jointavg", "--system", "skew", "--family", fam, "--functions", fn,
+                           "--mode", "primes", "--N", "1000000", "--cache", cache, "--out", out],
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    _check(proc.returncode == 1 and wall <= 5, f"row-budget refusal exits 1 in {wall:.2f} s <= 5 s")
+    _check(proc.stderr.startswith("error:") and "row budget" in proc.stderr, "row-budget refusal names the budget")
+    _check(not os.path.exists(cache) and not os.path.exists(out), "row-budget refusal writes no cache and no output")
+
+
 def main(command: list[str], workdir: str) -> None:
     def run(*args: str) -> None:
         _check(subprocess.run([*command, *args]).returncode == 0, f"{args[0]} exits 0")
@@ -98,6 +119,7 @@ def main(command: list[str], workdir: str) -> None:
     _check(n == "1" and abs(z - cmath.exp(-2j * cmath.pi / 3)) <= 1e-12, "Pell floor")
 
     run("jointavg", "--system", "rotation", "--family", fam, "--mode", "primes", "--N", "100,1000", "--out", out)
+    check_row_budget_refusal(command, workdir)
     run("recurrence", "--system", "cyclic:5", "--family", fam, "--mode", "primes", "--N", "100,1000", "--out", out)
     run("seminorm", "--system", "skew", "--s", "2,3", "--N", "20,20", "--out", out)
     # The default skew observable e(y) has closed forms: 20^(-1/4) at degree

@@ -19,7 +19,7 @@ import numpy as np
 from fracergo.averages import DeltaVonMangoldt, ExperimentResult, IterateSpec, multi_average
 from fracergo.fracpoly import RealExpPoly, _head
 from fracergo.primes import PrimeTable, count_prime_tuples, cube, sieve, singular_series, von_mangoldt_cube
-from fracergo.systems import SystemSpec, describe
+from fracergo.systems import SystemSpec
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def delta_average_experiment(
         series.append((int(N), float(np.mean(dists))))
     meta = {
         "kind": "delta_average",
-        "system": describe(sys),
+        "system": str(sys),
         "iterates": [{"function": str(s.poly), "mode": s.mode} for s in iterates],
         "shift_coordinates": k,
     }

@@ -278,7 +278,7 @@ def test_criterion_05_seminorms(criterion_report, table):
     for _ in range(20):
         nterms = int(rng.integers(1, 6))
         freqs = rng.choice(np.arange(-8, 9), size=nterms, replace=False)
-        entries = {(int(k),): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in freqs}
+        entries = [((int(k),), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for k in freqs]
         f = FourierPoly.make(1, entries)
         est = hk_seminorm_estimate(rot, f, 2, N_schedule=(1000,))
         worst_rot = max(worst_rot, abs(est.value - fourier_seminorm_rotation(f, 2)))

@@ -18,7 +18,6 @@ from fracergo.averages import (
     Unweighted,
     VonMangoldt,
     cfprime_experiment,
-    describe_weight,
     iterate_value,
     iterate_values,
     multi_average,
@@ -276,7 +275,7 @@ def test_weight_values_unweighted():
 ])
 def test_weight_text_reads_back(text, weight):
     assert parse_weight(text) == weight
-    assert describe_weight(weight) == text
+    assert str(weight) == text
 
 
 def test_weight_values_von_mangoldt(table):
@@ -613,6 +612,22 @@ def test_one_term_budget_for_products_and_averages(monkeypatch):
     monkeypatch.setattr(systems, "TERM_BUDGET", 9)
     multiply(f, f)
     multi_average(Skew(), [spec(SQRT)] * 2, [f] * 2, Unweighted(), 5)
+
+
+def test_torus_average_merges_its_rows_once(monkeypatch):
+    # Nine term combinations, all with k2 != 0: one merge for all their rows.
+    f = FourierPoly.make(2, [((k, 1), 1.0) for k in range(3)])
+    N = 50
+    J = [iterate_values(spec(e), np.arange(1, N + 1)) for e in (THREEHALF, SQRT)]
+    calls, canonical = [], systems._canonical
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return canonical(*args)
+
+    monkeypatch.setattr(systems, "_canonical", counting)
+    Skew().average(J, [f, f], np.ones(N))
+    assert calls == [9 * N]
 
 
 def test_multi_average_cube_weight_benchmark_is_zero(table):

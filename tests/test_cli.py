@@ -308,6 +308,8 @@ _DEGREES = "estimates take degrees s = 1..3, got {} (term growth is squared per 
 _CERT_FLAGS = "--cert-degree runs over the integers with the lambda weight; drop --mode primes and --weight delta:..."
 _SKEW_SET = ("recurrence refuses every --g on the skew product: "
              "indicator sets live on Z/m and arc functions live on the rotation")
+# e(k y)/k for k = 1..8: 64 term combinations with k2 != 0 on two iterates
+_EIGHT_TERMS = {"kind": "fourier", "terms": [{"freq": [0, k], "re": 1 / k} for k in range(1, 9)]}
 _PLAIN_SIEVE = "--N and --cutoff need --shifts: a plain sieve only counts the primes up to --limit"
 _SIEVE_LIMIT = "--limit is for a plain sieve: with --shifts the table covers max N + max shift and --cutoff"
 
@@ -346,6 +348,9 @@ _REFUSALS = [
              ["--system", "cyclic:3", "--weight", "delta:3,-1", "--N", "10"], "cube offsets must be non-negative"),
     _refusal("jointavg-primes-N-0", "jointavg", ["--system", "rotation", "--mode", "primes", "--N", "0"],
              "empty average"),
+    _refusal("jointavg-skew-row-budget", "jointavg", ["--system", "skew", "--mode", "primes", "--N", "1000000"],
+             "the average merges 64 term combinations x N = 1000000: 64000000 rows, row budget is 16777216",
+             [{F(3, 2): 1}, {F(1, 2): 1}], [_EIGHT_TERMS] * 2),
     _refusal("jointavg-observable-count", "jointavg", ["--system", "rotation", "--mode", "primes", "--N", "10"],
              "need 3 observables, file has 2", [{F(3, 2): 1}, {F(5, 4): 1}, {F(9, 8): 1}], [{"kind": "constant"}] * 2),
     _refusal("jointavg-shift-parameters", "jointavg", ["--system", "rotation", "--mode", "primes", "--N", "10"],

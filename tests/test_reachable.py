@@ -5,8 +5,8 @@ Every top-level function, class and module-level name in
 method and property of its classes: the walk starts at ``main``, and
 each definition it reaches adds every name and attribute that its source
 mentions.  A method is reached only through an attribute (``x.name``);
-a plain name such as ``describe(sys)`` reaches the top-level
-``describe`` alone.  An attribute of a class defined here
+a plain name such as ``integrate(sys, f)`` reaches the top-level
+``integrate`` alone.  An attribute of a class defined here
 (``FourierPoly.make``, ``systems.FourierPoly.make``) reaches that
 class's member only; any other receiver reaches every member so named.
 Dunder methods run with their class.  Checks that
