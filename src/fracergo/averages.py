@@ -196,12 +196,17 @@ def _argument_values(spec: IterateSpec, ns: np.ndarray, table: Optional[PrimeTab
     if len(ns) and ns.min() < 1:
         raise ValueError("indices start at 1")
     if spec.mode == "primes":
-        if table is None:
-            raise ValueError("primes mode needs a sieve table")
-        if len(ns) and ns.max() > len(table.primes):
-            raise ValueError(f"sieve holds {len(table.primes)} primes, need index {ns.max()}")
+        _check_primes(table, ns.max() if len(ns) else 0)
         return table.primes[ns - 1]
     return ns
+
+
+def _check_primes(table: Optional[PrimeTable], n: int) -> None:
+    """Refuse primes-mode indices up to n that the table does not hold."""
+    if table is None:
+        raise ValueError("primes mode needs a sieve table")
+    if n > len(table.primes):
+        raise ValueError(f"sieve holds {len(table.primes)} primes, need index {n}")
 
 
 def _guard_band(poly: RealExpPoly, xs: np.ndarray) -> np.ndarray:
@@ -269,18 +274,21 @@ def weyl_sum(
     modes = {spec.mode for spec in family}
     if len(modes) > 1:
         raise ValueError("iterates must share a mode")
-    ns = np.arange(1, N + 1, dtype=np.int64)
-    phases = np.zeros(N)
-    for spec, t in zip(family, ts):
-        t = float(t)
-        if t == 0.0:
-            continue
-        if floor_iterates:  # the iterate array is freed once its phases are added
-            phases += frac_multiples(t, iterate_values(spec, ns, table))
-        else:
-            phases += spec.poly.eval((), _argument_values(spec, ns, table)) * t
-    z = phases * (2j * np.pi)  # the character in place: one complex array
-    return complex(np.mean(np.exp(z, out=z)))
+    if modes == {"primes"}:
+        _check_primes(table, N)  # before the first block
+    terms = [(spec, t) for spec, t in zip(family, map(float, ts)) if t != 0.0]
+    total = 0j
+    for lo in range(1, N + 1, CHUNK):
+        ns = np.arange(lo, min(lo + CHUNK, N + 1), dtype=np.int64)
+        phases = np.zeros(len(ns))
+        for spec, t in terms:
+            if floor_iterates:
+                phases += frac_multiples(t, iterate_values(spec, ns, table))
+            else:
+                phases += spec.poly.eval((), _argument_values(spec, ns, table)) * t
+        z = phases * (2j * np.pi)  # the characters in place: one complex block
+        total += np.exp(z, out=z).sum()  # pairwise within a block, blocks in order
+    return complex(total) / N
 
 
 # ---------------------------------------------------------------------------

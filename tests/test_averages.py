@@ -27,7 +27,7 @@ from fracergo.averages import (
     weyl_sum,
 )
 from fracergo.fracpoly import Family, rexp_poly
-from fracergo.primes import cube
+from fracergo.primes import cube, sieve
 from fracergo.seminorms import gowers_norm_cyclic
 from fracergo.systems import (
     CHUNK,
@@ -355,46 +355,120 @@ def test_weyl_sum_modulus_bounded():
         assert abs(weyl_sum(fam, ts, 64)) <= 1 + 1e-12
 
 
+U = np.finfo(float).eps / 2  # the unit roundoff
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): k roundings in a chain are within a
+    factor 1 + theta, |theta| <= gamma_k (Higham, Lemma 3.1)."""
+    return k * U / (1 - k * U)
+
+
+def _pairwise_depth(n: int) -> int:
+    """The most roundings one term passes in numpy's sum of n contiguous
+    complex values.  numpy halves the array (to a multiple of 8 doubles)
+    until a part holds at most 128 doubles, 64 values, and adds each part
+    in a fixed tree: at most min(n, 64) - 1 additions inside a part, plus
+    one per halving, and there are at most ceil(log2 n) halvings."""
+    return min(n, 64) - 1 + math.ceil(math.log2(n))
+
+
+def _mean_difference_bound(N: int) -> float:
+    """A bound on each component of weyl_sum's mean minus numpy's mean of
+    the same N characters z_n.
+
+    1. A floating-point sum whose every term passes at most d roundings is
+       sum_n z_n (1 + theta_n), |theta_n| <= gamma_d, per component, as a
+       complex addition adds the real and the imaginary parts apart.
+    2. Every |z_n| = 1, so each component of z_n is at most 1 in absolute
+       value (a rounded cos or sin stays in [-1, 1]), and the error in a
+       component of the sum is at most gamma_d N.
+    3. Dividing by N rounds at most twice (numpy may multiply by a rounded
+       1/N; Python divides once), so each component of a mean is within
+       gamma_(d + 2) of the exact mean of the z_n.
+    4. The whole array: numpy's np.mean is one pairwise sum over N, so
+       d1 = _pairwise_depth(N).
+    5. weyl_sum: a pairwise sum within each CHUNK-long block, then the
+       ceil(N / CHUNK) block sums added in order into a running total, so
+       d2 = _pairwise_depth(min(N, CHUNK)) + ceil(N / CHUNK).
+    6. Both are within their bound of the same exact mean, so they differ
+       by at most gamma_(d1 + 2) + gamma_(d2 + 2)."""
+    d1 = _pairwise_depth(N)
+    d2 = _pairwise_depth(min(N, CHUNK)) + math.ceil(N / CHUNK)
+    return _gamma(d1 + 2) + _gamma(d2 + 2)
+
+
 @pytest.mark.parametrize("mode", ["integers", "primes"])
 @pytest.mark.parametrize("members, ts", [([THREEHALF], [1 / 3]), ([THREEHALF, MIXED], [2 / 7, -0.3])])
 def test_weyl_sum_is_the_whole_array_formula(mode, members, ts, table):
-    # The phases of whole iterate arrays, as Python ints, and one exp of the
-    # whole phase array: the sum before it went CHUNK indices at a time.
+    # The phases of whole iterate arrays (floored ones reduced as Python
+    # ints) and one exp and one mean over the whole phase array: weyl_sum
+    # before it went CHUNK indices at a time.  The characters keep their
+    # bits; only the order of the final sum differs, so the two means are
+    # within _mean_difference_bound, at N on and around block boundaries.
     fam = [spec(m, mode) for m in members]
-    N = 2 * CHUNK + 3
-    ns = np.arange(1, N + 1, dtype=np.int64)
-    phases = np.zeros(N)
-    for s, t in zip(fam, ts):
-        num, den = t.as_integer_ratio()
-        phases += np.array([(j * num % den) / float(den) for j in iterate_values(s, ns, table).tolist()])
-    assert weyl_sum(fam, ts, N, table) == complex(np.mean(np.exp(2j * np.pi * phases)))
+    ns = np.arange(1, 2 * CHUNK + 4, dtype=np.int64)
+    for floor in (True, False):
+        phases = np.zeros(len(ns))
+        for s, t in zip(fam, ts):
+            if floor:
+                num, den = t.as_integer_ratio()
+                phases += np.array([(j * num % den) / float(den) for j in iterate_values(s, ns, table).tolist()])
+            else:
+                phases += s.poly.eval((), table.primes[ns - 1] if mode == "primes" else ns) * t
+        z = np.exp(2j * np.pi * phases)
+        for N in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
+            got, want = weyl_sum(fam, ts, N, table, floor_iterates=floor), complex(np.mean(z[:N]))
+            bound = _mean_difference_bound(N)
+            assert type(got) is complex
+            assert abs(got.real - want.real) <= bound and abs(got.imag - want.imag) <= bound, (floor, N)
+
+
+@pytest.mark.parametrize("floor", [True, False])
+def test_weyl_sum_refuses_missing_primes_before_the_first_block(floor, table, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("weyl_sum started a block")
+
+    for name in ("iterate_values", "frac_multiples", "_argument_values"):
+        monkeypatch.setattr(averages, name, unreachable)
+    fam = [spec(THREEHALF, "primes")]
+    with pytest.raises(ValueError, match="^primes mode needs a sieve table$"):
+        weyl_sum(fam, [1 / 3], 10, None, floor_iterates=floor)
+    n = len(table.primes) + 1
+    with pytest.raises(ValueError, match=f"^sieve holds {n - 1} primes, need index {n}$"):
+        weyl_sum(fam, [1 / 3], n, table, floor_iterates=floor)
 
 
 @pytest.mark.parametrize("mode", ["integers", "primes"])
-def test_weyl_sum_peak_memory_is_a_few_arrays_of_length_N(mode, table):
-    """At most 40 bytes per index (ns, the phases and one iterate array,
-    8 bytes each, and the complex characters, 16) and 128 per block index.
+def test_weyl_sum_peak_memory_is_a_few_arrays_of_length_CHUNK(mode):
+    """At most 160 bytes per block index, whatever N: 128 for the calls
+    on a block, plus the block's indices and phases (8 bytes each) and its
+    complex characters (16).
 
-    The block term is read off the code, in CHUNK-long float64 arrays
-    alive at once.  In iterate_values: eval holds the float argument, the
-    running total, a power and its multiple (4); the band test holds vals
-    and |vals - rint(vals)|, and _guard_band the float argument, its log,
-    the band and at most three temporaries of a term beside them (rel, a
-    power and its multiple, or the old rel and two steps of the new), so 8.  frac_multiples holds the block as a list
-    of Python ints (a pointer and 28 bytes each, the values being below
-    2^30 here), the list of floats (8 + 24) and numpy's array of it (8):
-    76 bytes.  The two are never alive together, so 96 bytes bound both;
-    128 leaves a third for list over-allocation and per-call objects."""
+    The 128 are read off the code, in CHUNK-long float64 arrays alive at
+    once.  In iterate_values: eval holds the float argument, the running
+    total, a power and its multiple (4); the band test holds vals and
+    |vals - rint(vals)|, and _guard_band the float argument, its log, the
+    band and at most three temporaries of a term beside them (rel, a power
+    and its multiple, or the old rel and two steps of the new), so 8;
+    beside them the block's primes and the int64 floors (2), 80 bytes in
+    all.  frac_multiples holds its iterate block (8), the block as a list
+    of Python ints (a pointer and at most 32 bytes each, the values being
+    below 2^60 here), the list of floats (8 + 24) and numpy's array of it
+    (8): 88 bytes.  The two are never alive together, so 96 bytes bound both;
+    128 leaves a third for list over-allocation and per-call objects.  The
+    bound holds at N = 10^5 and 4 * 10^5 alike."""
     fam = [spec(THREEHALF, mode), spec({F(3, 2): 1, F(11, 10): 1}, mode)]  # F2
-    N = 10**5
+    table = sieve(5_800_100)  # p_400000 = 5,800,079
     weyl_sum(fam, [1 / 3, 2 / 7], CHUNK, table)  # first-call allocations outside the count
-    tracemalloc.start()
-    try:
-        weyl_sum(fam, [1 / 3, 2 / 7], N, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * N + 128 * CHUNK
+    for N in (10**5, 4 * 10**5):
+        tracemalloc.start()
+        try:
+            weyl_sum(fam, [1 / 3, 2 / 7], N, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * CHUNK, (N, peak)
 
 
 # ---------------------------------------------------------------------------
